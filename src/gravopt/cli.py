@@ -4,7 +4,7 @@ Subcommands: graver, nfold-graver, zonotope, solve-ip, solve-convex,
 transport, pack, partition, verify.  Machine-readable output goes to
 stdout (or --output, written atomically); a short human summary goes to
 stderr.  Exit codes: 0 optimal/success, 1 verify mismatch, 2 infeasible,
-3 unbounded, 4 guard/resource limit, 5 usage error.
+3 unbounded, 4 guard/resource limit, 5 usage error, 6 internal error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .convexopt import (INFEASIBLE_OUTCOME,
                         MaxLinearObjective, ObjectiveWeights,
                         SquaredNormObjective, solve_convex_nfold)
 from .errors import (GravoptError, InfeasibleInstanceError,
-                     ResourceLimitError, UsageError)
+                     InternalInconsistencyError, ResourceLimitError,
+                     UsageError)
 from .graver import graver_basis
 from .intlinalg import IntMat, format_matrix, parse_matrix
 from .ipsolve import INFEASIBLE, UNBOUNDED, solve_ip, solve_nfold_ip
@@ -38,6 +39,7 @@ EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
 EXIT_GUARD = 4
 EXIT_USAGE = 5
+EXIT_INTERNAL = 6
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +555,9 @@ def dispatch(argv) -> int:
     except InfeasibleInstanceError as exc:
         _summary(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
+    except InternalInconsistencyError as exc:
+        _summary(f"internal error: {exc}")
+        return EXIT_INTERNAL
     except (GravoptError, ValueError, KeyError, TypeError) as exc:
         _summary(f"error: {exc}")
         return EXIT_USAGE

@@ -76,10 +76,6 @@ def vec_sub(u: Sequence[int], v: Sequence[int]) -> IntVec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_neg(u: Sequence[int]) -> IntVec:
-    return tuple(-a for a in u)
-
-
 def vec_scale(c: int, u: Sequence[int]) -> IntVec:
     return tuple(c * a for a in u)
 
@@ -102,13 +98,6 @@ def vstack(A: IntMat, B: IntMat) -> IntMat:
     if A.cols != B.cols:
         raise DimensionMismatchError("vstack with differing column counts")
     return IntMat(A.rows + B.rows, A.cols, A.data + B.data)
-
-
-def hstack(A: IntMat, B: IntMat) -> IntMat:
-    if A.rows != B.rows:
-        raise DimensionMismatchError("hstack with differing row counts")
-    return IntMat(A.rows, A.cols + B.cols,
-                  tuple(ra + rb for ra, rb in zip(A.data, B.data)))
 
 
 def _column_echelon(A: IntMat):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,8 +20,6 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, ResourceLimitError
 from .graver import GraverBasis, graver_basis
 from .intlinalg import IntMat, IntVec, mat_vec
-
-_ZERO_CACHE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ def _lift_basis(base: GraverBasis, g: int, n: int, t: int,
     for elem in base.elements:
         bricks = [b for b in split_layers(elem, g, t) if any(b)]
         tau = len(bricks)
-        budget += _ncombs(n, tau)
+        budget += math.comb(n, tau)
         if budget > config.lift_cap:
             raise ResourceLimitError(
                 f"lifted basis placement count exceeds cap {config.lift_cap}")
@@ -166,11 +165,6 @@ def _lift_basis(base: GraverBasis, g: int, n: int, t: int,
                 layers[pos] = brick
             lifted.add(tuple(v for layer in layers for v in layer))
     return sorted(lifted)
-
-
-def _ncombs(n: int, k: int) -> int:
-    import math
-    return math.comb(n, k)
 
 
 # below this many layers direct completion is preferred; the Graver

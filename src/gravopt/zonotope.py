@@ -4,23 +4,32 @@ A vertex of zone(D) is a signed sum of the generators, one sign pattern
 per full-dimensional cell of the central arrangement of the hyperplanes
 orthogonal to the generators.  The enumeration therefore walks cells,
 not the exponentially many sign vectors: parallel generators are merged
-into one aggregate per primitive direction, the problem is restricted to
-the integer span of the aggregates, and one exact integer witness
-direction is produced per cell (angular sweep in rank <= 2, incremental
-insertion with an exact feasibility probe above).  The witness doubles
-as the separation certificate.
+into one aggregate per primitive direction and the problem is restricted
+to the integer span of the aggregates.  There, every vertex lies on a
+facet, and the facet with outer normal s*r is a translate of the
+zonotope of the generators orthogonal to r, one dimension lower; the
+cells are found by recursing into the facets, down to the two
+half-lines of rank 1.  The facet normals are the integer kernels of the
+(k-1)-subsets of the generators.  Each cell carries an exact integer
+witness direction, which doubles as the separation certificate: a facet
+witness c' lifts to lam*s*r + c', with lam > |c'.e| for every
+generator e, so the generators off the facet keep the facet's side.
+All arithmetic is on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import DimensionMismatchError, ResourceLimitError
-from .intlinalg import IntMat, dot, rank
-from .ratlp import find_interior_direction
+from .errors import (DimensionMismatchError, InternalInconsistencyError,
+                     ResourceLimitError)
+from .intlinalg import IntMat, dot, lattice_kernel_basis, rank
+# not called here: bound only because perfbench/spans.py wraps this name
+from .ratlp import find_interior_direction  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -42,12 +51,9 @@ def _primitive(e: Sequence[int]):
     if g == 0:
         return None, 0
     p = tuple(a // g for a in e)
-    for a in p:
-        if a:
-            if a < 0:
-                return tuple(-b for b in p), -g
-            return p, g
-    raise AssertionError
+    if next(a for a in p if a) < 0:
+        return tuple(-a for a in p), -g
+    return p, g
 
 
 def _independent_subset(vectors: list) -> list:
@@ -60,90 +66,64 @@ def _independent_subset(vectors: list) -> list:
     return chosen
 
 
-def _cells_rank1(reduced: list) -> list:
-    # single merged generator: two half-lines
-    (e,) = reduced
-    return [((1,), e), ((-1,), tuple(-a for a in e))]
-
-
-def _cells_rank2(reduced: list) -> list:
-    """Cells of a central line arrangement in the plane: the angular
-    sectors between consecutive lines; a strict witness is the sum of the
-    two bounding rays."""
-    rays = []
-    for (a, b) in reduced:
-        rays.append((-b, a))
-        rays.append((b, -a))
-    # dedupe parallel rays, then sort counterclockwise starting at angle 0
-    def half(r):
-        x, y = r
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def cmp_key(r):
-        return (half(r),)
-
-    uniq = []
-    for r in rays:
-        if not any(x * r[1] == y * r[0] and x * r[0] + y * r[1] > 0
-                   for (x, y) in uniq):
-            uniq.append(r)
-    import functools
-
-    def cmp(r1, r2):
-        h1, h2 = half(r1), half(r2)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cross = r1[0] * r2[1] - r1[1] * r2[0]
-        return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-    uniq.sort(key=functools.cmp_to_key(cmp))
-    if len(uniq) == 2:
-        # one line only: witnesses are the two normals
-        e = reduced[0]
-        cells = []
-        for w in (e, tuple(-a for a in e)):
-            cells.append((tuple(_sgn(dot(w, f)) for f in reduced), w))
-        return cells
-    cells = []
-    m = len(uniq)
-    for i in range(m):
-        r1, r2 = uniq[i], uniq[(i + 1) % m]
-        w = (r1[0] + r2[0], r1[1] + r2[1])
-        sigma = tuple(_sgn(dot(w, f)) for f in reduced)
-        assert 0 not in sigma
-        cells.append((sigma, w))
-    return cells
-
-
 def _sgn(a: int) -> int:
     return (a > 0) - (a < 0)
 
 
-def _cells_general(reduced: list, dim: int) -> list:
-    """Incremental cell enumeration: insert one hyperplane at a time,
-    keeping a strict integer witness per cell; the opposite side of a new
-    hyperplane is probed with the exact feasibility LP."""
-    first = reduced[0]
-    cells = [((1,), first), ((-1,), tuple(-a for a in first))]
-    for idx in range(1, len(reduced)):
-        e = reduced[idx]
-        nxt = []
-        for sigma, y in cells:
-            s = _sgn(dot(y, e))
-            prior = [tuple(sg * c for c in reduced[i])
-                     for i, sg in enumerate(sigma)]
-            if s != 0:
-                nxt.append((sigma + (s,), y))
-                probe_signs = (-s,)
-            else:
-                probe_signs = (1, -1)
-            for ps in probe_signs:
-                rows = prior + [tuple(ps * c for c in e)]
-                w = find_interior_direction(rows, dim)
-                if w is not None:
-                    nxt.append((sigma + (ps,), w))
-        cells = nxt
-    return cells
+def _span_cells(gens: list) -> list:
+    """Cells of pairwise non-parallel nonzero generators, as (signs,
+    witness) pairs.  Generators of a proper subspace are expressed
+    against an integer basis of their span, and the witnesses mapped
+    back.  Spanning generators keep their coordinates, and witnesses are
+    divided by their gcd: both keep the witnesses, and so every later
+    oracle query, on small integers."""
+    basis = _independent_subset(gens)
+    dim = len(gens[0])
+    if len(basis) == dim:
+        cells = _cells(gens)
+    else:
+        reduced = [tuple(dot(b, e) for b in basis) for e in gens]
+        cells = [(sigma, tuple(sum(yi * b[j] for yi, b in zip(y, basis))
+                               for j in range(dim)))
+                 for sigma, y in _cells(reduced)]
+    out = []
+    for sigma, c in cells:
+        g = gcd(*c)
+        out.append((sigma, tuple(a // g for a in c)))
+    return out
+
+
+def _cells(reduced: list) -> list:
+    """Cells of pairwise non-parallel generators of rank k in Z^k, each
+    with a strict integer witness y (sgn(y.e) is the cell's sign on e),
+    by recursion over the facets of their zonotope."""
+    k = len(reduced[0])
+    if k == 1:
+        if len(reduced) != 1:
+            raise InternalInconsistencyError(
+                "non-parallel generators in a rank-1 span")
+        e = reduced[0]
+        return [((1,), e), ((-1,), tuple(-a for a in e))]
+    normals: dict = {}
+    for subset in combinations(reduced, k - 1):
+        kernel = lattice_kernel_basis(IntMat.from_rows(subset, cols=k))
+        if len(kernel) == 1:
+            normals.setdefault(_primitive(kernel[0])[0], None)
+    bound = max(abs(a) for e in reduced for a in e)
+    cells: dict = {}
+    for r in normals:
+        rdots = [dot(r, e) for e in reduced]
+        on = [i for i, v in enumerate(rdots) if v == 0]
+        for facet_sigma, c in _span_cells([reduced[i] for i in on]):
+            lam = 1 + sum(abs(a) for a in c) * bound
+            on_sign = dict(zip(on, facet_sigma))
+            for s in (1, -1):
+                sigma = tuple(on_sign[i] if v == 0 else s * _sgn(v)
+                              for i, v in enumerate(rdots))
+                if sigma not in cells:
+                    cells[sigma] = tuple(lam * s * a + b
+                                         for a, b in zip(r, c))
+    return list(cells.items())
 
 
 def zonotope_vertices(generators: Sequence[Sequence[int]],
@@ -183,23 +163,8 @@ def zonotope_vertices(generators: Sequence[Sequence[int]],
     prims = sorted(classes)
     aggregates = [tuple(classes[p] * a for a in p) for p in prims]
 
-    # restrict to the span: aggregates expressed against an integer basis
-    span_basis = _independent_subset(aggregates)
-    d_eff = len(span_basis)
-    reduced = [tuple(dot(bcol, agg) for bcol in span_basis)
-               for agg in aggregates]
-
-    if d_eff == 1:
-        cells = _cells_rank1(reduced)
-    elif d_eff == 2:
-        cells = _cells_rank2(reduced)
-    else:
-        cells = _cells_general(reduced, d_eff)
-
     out = []
-    for sigma, y in cells:
-        cert = tuple(sum(yi * bcol[j] for yi, bcol in zip(y, span_basis))
-                     for j in range(dim))
+    for sigma, cert in _span_cells(aggregates):
         vertex = [0] * dim
         for sg, agg in zip(sigma, aggregates):
             for j, a in enumerate(agg):
@@ -209,5 +174,6 @@ def zonotope_vertices(generators: Sequence[Sequence[int]],
                       for p, alpha in memberships)
         out.append(ZonotopeVertex(tuple(vertex), cert, signs))
     out.sort(key=lambda zv: zv.vertex)
-    assert len({zv.vertex for zv in out}) == len(out)
+    if len({zv.vertex for zv in out}) != len(out):
+        raise InternalInconsistencyError("two cells gave the same vertex")
     return out

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravopt.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_OK,
+from gravopt import cli
+from gravopt.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK,
                          EXIT_UNBOUNDED, EXIT_USAGE, dispatch, format_rhs,
                          format_stencil, parse_rhs, parse_stencil)
+from gravopt.errors import InternalInconsistencyError
 from gravopt.intlinalg import IntMat
 from gravopt.nfold import NFoldRhs, NFoldStencil
 
@@ -145,6 +147,16 @@ def test_guard_and_usage_exit_codes(files, capsys):
     bad = files("bad.json", "{not json")
     assert dispatch(["verify", bad]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_internal_fault_has_its_own_exit_code(files, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalInconsistencyError("invariant failed")
+
+    monkeypatch.setattr(cli, "zonotope_vertices", broken)
+    gens = files("g.mat", "1 2\n1 1\n")
+    assert dispatch(["zonotope", gens]) == EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_env_overrides_and_flag_precedence(files, monkeypatch, capsys):

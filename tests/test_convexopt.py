@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerate_nfold
+from gravopt.apps import PartitionInstance, build_partition
 from gravopt.bruteforce import (EnumBudget, brute_convex_max,
                                 enumerate_feasible, hull_edges_2d)
 from gravopt.config import RunConfig
@@ -15,9 +17,9 @@ from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
                                lift_normal, project_directions,
                                solve_convex_nfold)
 from gravopt.graver import graver_basis
-from gravopt.intlinalg import IntMat, dot
+from gravopt.intlinalg import IntMat, dot, rank
 from gravopt.ipsolve import solve_ip
-from gravopt.nfold import NFoldRhs, NFoldStencil
+from gravopt.nfold import NFoldRhs, NFoldStencil, nfold_graver
 
 SEGMENT = IntMat(1, 2, ((1, 1),))  # x1 + x2 = b, the 4-point example
 W_AXES = ObjectiveWeights.make([(1, 0), (0, 1)])
@@ -138,6 +140,32 @@ def test_nfold_entrypoint_matches_bruteforce():
     pts = enumerate_feasible(SEGMENT, (3,), EnumBudget(bounds=(3, 3)))
     bx, bz = brute_convex_max(pts, W_AXES, SquaredNormObjective())
     assert out.z == bz and out.x == bx
+
+
+def test_rank3_clustering_matches_bruteforce():
+    # balanced 2-clusterings of items in Z^3: the projected directions
+    # span rank 3, so the zonotope stage recurses over 2-D facets
+    rng = random.Random(3003)
+    for m in (4, 6, 8):
+        for _ in range(2):
+            items = [tuple(rng.randint(-2, 2) for _ in range(3))
+                     for _ in range(m)]
+            inst = PartitionInstance.make(2, items, sizes=(m // 2, m // 2))
+            stencil, rhs, weights, _codec = build_partition(inst)
+            directions = project_directions(
+                nfold_graver(stencil, m).elements, weights)
+            assert rank(IntMat.from_rows(directions)) == 3
+            pts = enumerate_nfold(stencil, rhs, [(1, 1)] * m)
+            maxlin = MaxLinearObjective(tuple(
+                tuple(rng.randint(-2, 2) for _ in range(weights.d))
+                for _ in range(rng.randint(1, 3))))
+            for objective in (SquaredNormObjective(), maxlin):
+                out = solve_convex_nfold(stencil, m, weights, rhs, objective)
+                assert out.status == OPTIMAL_OUTCOME
+                assert out.x in pts and weights.project(out.x) == out.z
+                _bx, bz = brute_convex_max(pts, weights, objective)
+                assert objective.compare_leq(bz, out.z)
+                assert objective.compare_leq(out.z, bz)
 
 
 def test_weights_validation():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -65,6 +66,37 @@ def test_random_against_sign_enumeration():
         gens = [tuple(rng.randint(-2, 2) for _ in range(d))
                 for _ in range(k)]
         _check_case(gens)
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _general_position_3d(rng, m):
+    """m integer vectors in Z^3, pairwise non-parallel and with every
+    3-subset linearly independent."""
+    gens = []
+    while len(gens) < m:
+        e = tuple(rng.randint(-9, 9) for _ in range(3))
+        if any(e) and all(any(_cross(e, f)) for f in gens) and \
+                all(dot(e, _cross(f, g))
+                    for f, g in itertools.combinations(gens, 2)):
+            gens.append(e)
+    return gens
+
+
+@pytest.mark.parametrize("m", [20, 40])
+def test_general_position_d3(m):
+    gens = _general_position_3d(random.Random(3000 + m), m)
+    verts = zonotope_vertices(gens)
+    assert len(verts) == 2 * sum(comb(m - 1, i) for i in range(3))
+    points = [zv.vertex for zv in verts]
+    for own, zv in enumerate(verts):
+        c0, c1, c2 = zv.certificate
+        vals = [c0 * a + c1 * b + c2 * c for a, b, c in points]
+        best = max(vals)
+        assert vals[own] == best and vals.count(best) == 1
 
 
 def test_dimension_guard_and_mismatch():
