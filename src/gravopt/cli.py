@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: graver, nfold-graver, zonotope, solve-ip, solve-convex,
-transport, pack, partition, verify.  Machine-readable output goes to
-stdout (or --output, written atomically); a short human summary goes to
-stderr.  Exit codes: 0 optimal/success, 1 verify mismatch, 2 infeasible,
+transport, pack, partition, verify.  The last four read a JSON instance
+through one schema table: LOADERS maps each instance schema to its
+loader, and COMMANDS maps each command to its output schema and the
+instance schemas it accepts.  Machine-readable output goes to stdout (or
+--output, written atomically); a short human summary goes to stderr.
+Exit codes: 0 optimal/success, 1 verify mismatch, 2 infeasible,
 3 unbounded, 4 guard/resource limit, 5 usage error, 6 internal error.
 """
 
@@ -14,15 +17,15 @@ import json
 import os
 import sys
 import tempfile
+from typing import Optional
 
 from .apps import (MultiwayInstance, PackingInstance, PartitionInstance,
                    build_multiway, build_packing, build_partition,
                    build_threeway, cluster_variance)
 from .bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
 from .config import RunConfig
-from .convexopt import (INFEASIBLE_OUTCOME,
-                        UNBOUNDED_POLYHEDRON, ConvexOutcome, LinearObjective,
-                        MaxLinearObjective, ObjectiveWeights,
+from .convexopt import (INFEASIBLE_OUTCOME, UNBOUNDED_POLYHEDRON,
+                        LinearObjective, MaxLinearObjective, ObjectiveWeights,
                         SquaredNormObjective, solve_convex_nfold)
 from .errors import (GravoptError, InfeasibleInstanceError,
                      InternalInconsistencyError, ResourceLimitError,
@@ -185,28 +188,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig.from_env(**overrides)
 
 
-def _convex_json(schema: str, outcome: ConvexOutcome, extra=None) -> dict:
-    doc = {"schema": schema, "status": outcome.status}
-    if outcome.is_optimal:
-        doc["x"] = list(outcome.x)
-        doc["z"] = list(outcome.z)
-        if outcome.stats is not None:
-            doc["stats"] = {"oracle_queries": outcome.stats.oracle_queries,
-                            "identity_checks": outcome.stats.identity_checks,
-                            "vertices": outcome.stats.vertices}
-        if extra:
-            doc.update(extra() if callable(extra) else extra)
-    return doc
-
-
-def _convex_exit(outcome: ConvexOutcome) -> int:
-    if outcome.status == INFEASIBLE_OUTCOME:
-        return EXIT_INFEASIBLE
-    if outcome.status == UNBOUNDED_POLYHEDRON:
-        return EXIT_UNBOUNDED
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -281,6 +262,28 @@ def _cmd_solve_ip(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _solve_and_emit(args, config: RunConfig, schema: str, stencil, n: int,
+                    rhs, weights, decode=None) -> int:
+    """Solve once; write the `schema` document, plus decode(x) when optimal,
+    and the stderr summary; return the exit code."""
+    objective = _resolve_objective(parse_objective(args.objective), weights.d)
+    out = solve_convex_nfold(stencil, n, weights, rhs, objective, config)
+    doc = {"schema": schema, "status": out.status}
+    if out.is_optimal:
+        doc["x"] = list(out.x)
+        doc["z"] = list(out.z)
+        doc["stats"] = {"oracle_queries": out.stats.oracle_queries,
+                        "identity_checks": out.stats.identity_checks,
+                        "vertices": out.stats.vertices}
+        if decode is not None:
+            doc.update(decode(out.x))
+    _emit(json.dumps(doc) + "\n", args.output)
+    _summary(f"{args.command}: {out.status}"
+             + (f", z={out.z}" if out.is_optimal else ""))
+    return {INFEASIBLE_OUTCOME: EXIT_INFEASIBLE,
+            UNBOUNDED_POLYHEDRON: EXIT_UNBOUNDED}.get(out.status, EXIT_OK)
+
+
 def _cmd_solve_convex(args, config: RunConfig) -> int:
     stencil = parse_stencil(_read(args.stencil))
     rhs = parse_rhs(_read(args.rhs))
@@ -288,151 +291,119 @@ def _cmd_solve_convex(args, config: RunConfig) -> int:
     wmat = _read_matrix(args.weights)
     if wmat.cols != args.n * stencil.t:
         raise UsageError("weight rows must have length n*t")
-    weights = ObjectiveWeights.make(wmat.data)
-    objective = _resolve_objective(parse_objective(args.objective), weights.d)
-    out = solve_convex_nfold(stencil, args.n, weights, rhs, objective, config)
-    doc = _convex_json("convex-solution-v1", out)
-    _emit(json.dumps(doc) + "\n", args.output)
-    _summary(f"solve-convex: {out.status}"
-             + (f", z={out.z}" if out.is_optimal else ""))
-    return _convex_exit(out)
+    return _solve_and_emit(args, config, "convex-solution-v1", stencil,
+                           args.n, rhs, ObjectiveWeights.make(wmat.data))
 
 
 # -- application instances ---------------------------------------------------
+# A loader maps an instance document to (stencil, n, rhs, weights, decode),
+# where decode(x) is the solution document's domain view.
 
-def _load_instance(path: str, expected: tuple) -> dict:
-    try:
-        doc = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: invalid JSON ({exc})") from None
-    schema = doc.get("schema")
-    if schema not in expected:
-        raise UsageError(
-            f"{path}: schema {schema!r} not among {sorted(expected)}")
-    return doc
+def _load_transport(doc: dict):
+    stencil, rhs, codec = build_threeway(doc["p"], doc["q"], doc["n"],
+                                         doc["u"], doc["v"], doc["z"])
+    return (stencil, doc["n"], rhs, codec.encode_weights(doc["weights"]),
+            lambda x: {"table": codec.decode(x)})
 
 
-def _build_transport(doc: dict):
-    if doc["schema"] == "transport-v1":
-        p, q, n = doc["p"], doc["q"], doc["n"]
-        stencil, rhs, codec = build_threeway(p, q, n,
-                                             doc["u"], doc["v"], doc["z"])
-        weights = codec.encode_weights(doc["weights"])
-        return stencil, rhs, weights, codec, n
-    # multiway-v1: margin keys serialized as [index-or-null, ...] lists
-    margins = {tuple(key): val for key, val in doc["margins"]}
-    inst = MultiwayInstance.make(doc["dims"], doc["n"],
-                                 [frozenset(f) for f in doc["family"]],
-                                 margins)
+def _load_multiway(doc: dict):
+    # margin keys serialized as [index-or-null, ...] lists
+    inst = MultiwayInstance.make(
+        doc["dims"], doc["n"], [frozenset(f) for f in doc["family"]],
+        {tuple(key): val for key, val in doc["margins"]})
     stencil, rhs, codec = build_multiway(inst)
     weights = ObjectiveWeights.make(
         [codec.encode({tuple(key): val for key, val in table})
          for table in doc["weights"]])
-    return stencil, rhs, weights, codec, inst.n
+    return (stencil, inst.n, rhs, weights,
+            lambda x: {"table": [[list(key), val] for key, val
+                                 in sorted(codec.decode(x).items())]})
 
 
-def _decode_transport(doc: dict, codec, x):
-    if doc["schema"] == "transport-v1":
-        return {"table": codec.decode(x)}
-    return {"table": [[list(key), val]
-                      for key, val in sorted(codec.decode(x).items())]}
-
-
-def _build_pack(doc: dict):
+def _load_pack(doc: dict):
     inst = PackingInstance.from_items(doc["weights"], doc["counts"],
                                       doc["capacities"])
     stencil, rhs, codec = build_packing(inst)
-    weights = codec.lift_utilities(doc["utilities"])
-    return inst, stencil, rhs, weights, codec
+    return (stencil, inst.n, rhs, codec.lift_utilities(doc["utilities"]),
+            lambda x: {"bins": codec.decode(x)})
 
 
-def _build_partition(doc: dict):
+def _load_partition(doc: dict):
     inst = PartitionInstance.make(doc["players"], doc["items"],
                                   doc.get("sizes"))
     stencil, rhs, weights, codec = build_partition(inst)
-    return inst, stencil, rhs, weights, codec
 
-
-def _cmd_transport(args, config: RunConfig) -> int:
-    doc = _load_instance(args.instance, ("transport-v1", "multiway-v1"))
-    stencil, rhs, weights, codec, n = _build_transport(doc)
-    objective = _resolve_objective(parse_objective(args.objective), weights.d)
-    out = solve_convex_nfold(stencil, n, weights, rhs, objective, config)
-    result = _convex_json("transport-solution-v1", out,
-                          extra=lambda: _decode_transport(doc, codec, out.x))
-    _emit(json.dumps(result) + "\n", args.output)
-    _summary(f"transport: {out.status}"
-             + (f", z={out.z}" if out.is_optimal else ""))
-    return _convex_exit(out)
-
-
-def _cmd_pack(args, config: RunConfig) -> int:
-    doc = _load_instance(args.instance, ("pack-v1",))
-    inst, stencil, rhs, weights, codec = _build_pack(doc)
-    objective = _resolve_objective(parse_objective(args.objective), weights.d)
-    out = solve_convex_nfold(stencil, inst.n, weights, rhs, objective, config)
-    result = _convex_json("pack-solution-v1", out,
-                          extra=lambda: {"bins": codec.decode(out.x)})
-    _emit(json.dumps(result) + "\n", args.output)
-    _summary(f"pack: {out.status}"
-             + (f", z={out.z}" if out.is_optimal else ""))
-    return _convex_exit(out)
-
-
-def _cmd_partition(args, config: RunConfig) -> int:
-    doc = _load_instance(args.instance, ("partition-v1",))
-    inst, stencil, rhs, weights, codec = _build_partition(doc)
-    objective = _resolve_objective(parse_objective(args.objective), weights.d)
-    out = solve_convex_nfold(stencil, inst.n, weights, rhs, objective, config)
-
-    def extra():
-        clusters = codec.decode(out.x)
-        payload = {"clusters": [list(c) for c in clusters]}
+    def decode(x):
+        clusters = codec.decode(x)
+        view = {"clusters": [list(c) for c in clusters]}
         if all(clusters):
             var = cluster_variance(inst, clusters)
-            payload["variance"] = {"num": var.numerator,
-                                   "den": var.denominator}
-        return payload
+            view["variance"] = {"num": var.numerator, "den": var.denominator}
+        return view
 
-    result = _convex_json("partition-solution-v1", out, extra=extra)
-    _emit(json.dumps(result) + "\n", args.output)
-    _summary(f"partition: {out.status}"
-             + (f", z={out.z}" if out.is_optimal else ""))
-    return _convex_exit(out)
+    return stencil, inst.n, rhs, weights, decode
 
 
-def _verify_bounds(doc: dict, stencil, rhs, n: int):
-    if doc["schema"] == "partition-v1":
-        return (1,) * (n * stencil.t)
-    if doc["schema"] == "pack-v1":
-        residual = sum(doc["capacities"]) - sum(
-            c * w for c, w in zip(doc["counts"], doc["weights"]))
-        per_layer = tuple(doc["counts"]) + (max(residual, 0),)
-        return per_layer * n
-    return None  # margin systems: the default max|b| bound is valid
+LOADERS = {"transport-v1": _load_transport, "multiway-v1": _load_multiway,
+           "pack-v1": _load_pack, "partition-v1": _load_partition}
+
+# command -> (output schema, accepted instance schemas)
+COMMANDS = {"transport": ("transport-solution-v1",
+                          ("transport-v1", "multiway-v1")),
+            "pack": ("pack-solution-v1", ("pack-v1",)),
+            "partition": ("partition-solution-v1", ("partition-v1",)),
+            "verify": ("verify-report-v1", tuple(LOADERS))}
+
+
+def _load_instance(path: str, accepted: tuple):
+    """(schema, loader result) for an instance whose schema is accepted."""
+    try:
+        doc = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path}: an instance must be a JSON object")
+    schema = doc.get("schema")
+    if schema not in accepted:
+        raise UsageError(
+            f"{path}: schema {schema!r} not among {sorted(accepted)}")
+    try:
+        return schema, LOADERS[schema](doc)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing field {exc}") from None
+    except TypeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
+def _cmd_instance(args, config: RunConfig) -> int:
+    schema, accepted = COMMANDS[args.command]
+    _, loaded = _load_instance(args.instance, accepted)
+    return _solve_and_emit(args, config, schema, *loaded)
+
+
+def enumeration_box(A: IntMat, b) -> Optional[tuple]:
+    """Bounds x_j <= b_i // A_ij (at least 0) over the rows i with no
+    negative entry and A_ij > 0; every x >= 0 with Ax = b lies inside.
+    None when some column has no such row."""
+    rows = [(row, bi) for row, bi in zip(A.data, b)
+            if all(a >= 0 for a in row)]
+    caps = [[bi // row[j] for row, bi in rows if row[j] > 0]
+            for j in range(A.cols)]
+    return tuple(max(min(c), 0) for c in caps) if all(caps) else None
 
 
 def _cmd_verify(args, config: RunConfig) -> int:
-    doc = _load_instance(args.instance,
-                         ("transport-v1", "multiway-v1", "pack-v1",
-                          "partition-v1"))
-    schema = doc["schema"]
-    if schema == "partition-v1":
-        inst, stencil, rhs, weights, _codec = _build_partition(doc)
-        n = inst.n
-    elif schema == "pack-v1":
-        inst, stencil, rhs, weights, _codec = _build_pack(doc)
-        n = inst.n
-    else:
-        stencil, rhs, weights, _codec, n = _build_transport(doc)
+    report_schema, accepted = COMMANDS[args.command]
+    schema, (stencil, n, rhs, weights, _decode) = _load_instance(
+        args.instance, accepted)
     objective = _resolve_objective(parse_objective(args.objective), weights.d)
     out = solve_convex_nfold(stencil, n, weights, rhs, objective, config)
-
+    A, b = nfold_matrix(stencil, n), rhs.concat()
     budget = EnumBudget(max_points=args.max_points,
-                        bounds=_verify_bounds(doc, stencil, rhs, n))
-    points = enumerate_feasible(nfold_matrix(stencil, n), rhs.concat(), budget)
+                        bounds=enumeration_box(A, b))
+    points = enumerate_feasible(A, b, budget)
 
-    report = {"schema": "verify-report-v1", "instance_schema": schema,
+    report = {"schema": report_schema, "instance_schema": schema,
               "pipeline_status": out.status, "points": len(points)}
     if out.status == INFEASIBLE_OUTCOME:
         ok = not points
@@ -521,21 +492,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve_convex)
 
     for name, func, help_text in (
-            ("transport", _cmd_transport, "multiway transportation instance"),
-            ("pack", _cmd_pack, "bin packing instance"),
-            ("partition", _cmd_partition, "vector partition instance")):
+            ("transport", _cmd_instance, "multiway transportation instance"),
+            ("pack", _cmd_instance, "bin packing instance"),
+            ("partition", _cmd_instance, "vector partition instance"),
+            ("verify", _cmd_verify, "pipeline vs brute-force oracle")):
         p = subs.add_parser(name, help=help_text)
         p.add_argument("instance")
         p.add_argument("--objective", default="norm2")
+        if func is _cmd_verify:
+            p.add_argument("--max-points", type=int, default=1_000_000)
         _add_common(p)
         p.set_defaults(func=func)
-
-    p = subs.add_parser("verify", help="pipeline vs brute-force oracle")
-    p.add_argument("instance")
-    p.add_argument("--objective", default="norm2")
-    p.add_argument("--max-points", type=int, default=1_000_000)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -555,10 +522,11 @@ def dispatch(argv) -> int:
     except InfeasibleInstanceError as exc:
         _summary(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
-    except InternalInconsistencyError as exc:
-        _summary(f"internal error: {exc}")
+    except (InternalInconsistencyError, AssertionError, KeyError,
+            TypeError) as exc:
+        _summary(f"internal error: {exc!r}")
         return EXIT_INTERNAL
-    except (GravoptError, ValueError, KeyError, TypeError) as exc:
+    except (GravoptError, ValueError) as exc:
         _summary(f"error: {exc}")
         return EXIT_USAGE
 

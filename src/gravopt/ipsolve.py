@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InternalInconsistencyError
 from .graver import GraverBasis, graver_basis
 from .intlinalg import IntMat, dot, solve_integer
 from .nfold import NFoldRhs, NFoldStencil, nfold_graver, nfold_matrix
@@ -114,7 +114,9 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
         _, _, supp, lam = best
         for j, a in supp:
             x[j] += lam * a
-        assert min(x) >= 0
+        if min(x) < 0:
+            raise InternalInconsistencyError(
+                "augmentation left the nonnegative orthant")
 
 
 def _negpart(x: Sequence[int]) -> int:

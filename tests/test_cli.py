@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravopt import cli
+from gravopt.bruteforce import EnumBudget, enumerate_feasible
 from gravopt.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK,
                          EXIT_UNBOUNDED, EXIT_USAGE, dispatch, format_rhs,
                          format_stencil, parse_rhs, parse_stencil)
 from gravopt.errors import InternalInconsistencyError
 from gravopt.intlinalg import IntMat
-from gravopt.nfold import NFoldRhs, NFoldStencil
+from gravopt.nfold import NFoldRhs, NFoldStencil, nfold_matrix
 
 
 @pytest.fixture
@@ -28,6 +29,34 @@ TRANSPORT_INSTANCE = {
     "weights": [[[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
                 [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]],
 }
+
+
+def _as_multiway(doc):
+    """The same p x q x n line-sum instance in the multiway-v1 schema."""
+    p, q, n = doc["p"], doc["q"], doc["n"]
+    margins = ([[[i, j, None], doc["u"][i][j]]
+                for i in range(p) for j in range(q)]
+               + [[[i, None, k], doc["v"][i][k]]
+                  for i in range(p) for k in range(n)]
+               + [[[None, j, k], doc["z"][j][k]]
+                  for j in range(q) for k in range(n)])
+    weights = [[[[i, j, k], table[i][j][k]] for i in range(p)
+                for j in range(q) for k in range(n)]
+               for table in doc["weights"]]
+    return {"schema": "multiway-v1", "dims": [p, q], "n": n,
+            "family": [[0, 1], [0, 2], [1, 2]], "margins": margins,
+            "weights": weights}
+
+
+PACK_INSTANCE = {
+    "schema": "pack-v1", "weights": [3, 2], "counts": [2, 2],
+    "capacities": [5, 5, 4],
+    "utilities": [[[1, 0, 0], [0, 1, 0]], [[0, 1, 1], [1, 0, 1]]]}
+
+PARTITION_INSTANCE = {
+    "schema": "partition-v1", "players": 2,
+    "items": [[0, 0], [1, 0], [4, 0], [5, 0], [0, 3], [1, 3]],
+    "sizes": [3, 3]}
 
 
 def test_stencil_roundtrip():
@@ -120,18 +149,90 @@ def test_transport_subcommand_and_verify(files, capsys):
     assert dispatch(["transport", inst2]) == EXIT_INFEASIBLE
 
 
+def test_multiway_transport_and_verify(files, capsys):
+    inst = files("m.json", json.dumps(_as_multiway(TRANSPORT_INSTANCE)))
+    assert dispatch(["transport", inst]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "transport-solution-v1"
+    assert doc["status"] == "optimal"
+    # the multiway view is the sorted [key, value] table of the same x
+    table = dict((tuple(key), val) for key, val in doc["table"])
+    assert [key for key, _ in doc["table"]] == sorted(
+        [list(key) for key in table])
+    assert sorted(table.values()) == sorted(doc["x"])
+    three = files("t.json", json.dumps(TRANSPORT_INSTANCE))
+    assert dispatch(["transport", three]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["z"] == doc["z"]
+    assert dispatch(["verify", inst]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["instance_schema"] == "multiway-v1"
+    assert report["pass"] is True and report["points"] == 2
+
+
+def test_verify_pack_instance(files, capsys):
+    pack = files("p.json", json.dumps(PACK_INSTANCE))
+    assert dispatch(["verify", pack, "--objective", "linear"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["instance_schema"] == "pack-v1"
+    assert report["pipeline_status"] == "optimal"
+    assert report["pass"] is True and report["points"] > 1
+
+
+def test_verify_infeasible_transport_stays_inside_the_guard(files, capsys):
+    # u = 5s cannot be met with v = z = 1s; the box x <= 1 has 2^8 points
+    bad = dict(TRANSPORT_INSTANCE, u=[[5, 5], [5, 5]])
+    inst = files("t.json", json.dumps(bad))
+    assert dispatch(["verify", inst]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["pipeline_status"] == "infeasible"
+    assert report["points"] == 0 and report["pass"] is True
+
+
+def _per_schema_bounds(doc, A, b):
+    """The hand-written bounds verify used per schema before the box was
+    derived from (A, b): 0/1 for partitions, counts plus residual slack
+    for packing, max|b| for margin systems."""
+    if doc["schema"] == "partition-v1":
+        return (1,) * A.cols
+    if doc["schema"] == "pack-v1":
+        residual = sum(doc["capacities"]) - sum(
+            c * w for c, w in zip(doc["counts"], doc["weights"]))
+        per_layer = tuple(doc["counts"]) + (residual,)
+        return per_layer * len(doc["capacities"])
+    return (max(abs(v) for v in b),) * A.cols
+
+
+@pytest.mark.parametrize("doc", [TRANSPORT_INSTANCE,
+                                 _as_multiway(TRANSPORT_INSTANCE),
+                                 PACK_INSTANCE, PARTITION_INSTANCE],
+                         ids=lambda doc: doc["schema"])
+def test_enumeration_box_is_derived_from_the_system(doc):
+    stencil, n, rhs, _weights, _decode = cli.LOADERS[doc["schema"]](doc)
+    A, b = nfold_matrix(stencil, n), rhs.concat()
+    box = cli.enumeration_box(A, b)
+    wide = _per_schema_bounds(doc, A, b)
+    assert box is not None and len(box) == A.cols
+    assert all(0 <= lo <= hi for lo, hi in zip(box, wide))
+    points = enumerate_feasible(A, b, EnumBudget(bounds=wide))
+    assert points
+    assert all(all(v <= cap for v, cap in zip(x, box)) for x in points)
+    assert enumerate_feasible(A, b, EnumBudget(bounds=box)) == points
+
+
+def test_enumeration_box_falls_back_without_a_nonnegative_row():
+    A = IntMat(2, 3, ((1, 1, 0), (0, 1, -1)))
+    assert cli.enumeration_box(A, (2, 0)) is None
+    assert cli.enumeration_box(IntMat(1, 2, ((2, 3),)), (7, )) == (3, 2)
+    # a nonnegative row with a negative right-hand side admits no x
+    assert cli.enumeration_box(IntMat(1, 2, ((1, 1),)), (-1,)) == (0, 0)
+
+
 def test_pack_and_partition_subcommands(files, capsys):
-    pack = files("p.json", json.dumps({
-        "schema": "pack-v1", "weights": [3, 2], "counts": [2, 2],
-        "capacities": [5, 5, 4],
-        "utilities": [[[1, 0, 0], [0, 1, 0]], [[0, 1, 1], [1, 0, 1]]]}))
+    pack = files("p.json", json.dumps(PACK_INSTANCE))
     assert dispatch(["pack", pack, "--objective", "linear"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "optimal" and len(doc["bins"]) == 3
-    part = files("q.json", json.dumps({
-        "schema": "partition-v1", "players": 2,
-        "items": [[0, 0], [1, 0], [4, 0], [5, 0], [0, 3], [1, 3]],
-        "sizes": [3, 3]}))
+    part = files("q.json", json.dumps(PARTITION_INSTANCE))
     assert dispatch(["partition", part]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["variance"] == {"num": 46, "den": 9}
@@ -149,14 +250,30 @@ def test_guard_and_usage_exit_codes(files, capsys):
     capsys.readouterr()
 
 
-def test_internal_fault_has_its_own_exit_code(files, monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise InternalInconsistencyError("invariant failed")
+def test_malformed_instances_are_usage_errors(files, capsys):
+    listed = files("list.json", "[1, 2]")
+    assert dispatch(["transport", listed]) == EXIT_USAGE
+    assert "must be a JSON object" in capsys.readouterr().err
+    partial = dict(TRANSPORT_INSTANCE)
+    del partial["q"]
+    missing = files("missing.json", json.dumps(partial))
+    assert dispatch(["verify", missing]) == EXIT_USAGE
+    assert "missing field 'q'" in capsys.readouterr().err
+    wrong = files("wrong.json", json.dumps(dict(PACK_INSTANCE, counts=5)))
+    assert dispatch(["pack", wrong]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
 
-    monkeypatch.setattr(cli, "zonotope_vertices", broken)
+
+def test_internal_fault_has_its_own_exit_code(files, monkeypatch, capsys):
     gens = files("g.mat", "1 2\n1 1\n")
-    assert dispatch(["zonotope", gens]) == EXIT_INTERNAL
-    assert "internal error" in capsys.readouterr().err
+    for fault in (InternalInconsistencyError("invariant failed"),
+                  AssertionError(), KeyError("k"), TypeError("t")):
+        def broken(*args, fault=fault, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(cli, "zonotope_vertices", broken)
+        assert dispatch(["zonotope", gens]) == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
 
 
 def test_env_overrides_and_flag_precedence(files, monkeypatch, capsys):

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
+from gravopt.errors import InternalInconsistencyError
 from gravopt.graver import graver_basis
 from gravopt.intlinalg import IntMat, dot, mat_vec
 from gravopt.ipsolve import (INFEASIBLE, OPTIMAL, UNBOUNDED,
@@ -17,6 +20,14 @@ def _random_bounded_stencil(rng: random.Random) -> NFoldStencil:
     rows = [(1,) * t] + [tuple(rng.randint(-1, 2) for _ in range(t))
                          for _ in range(extra)]
     return NFoldStencil(a1, IntMat(len(rows), t, tuple(rows)))
+
+
+def test_augmentation_checks_the_orthant_without_assert():
+    # x0 breaks the x0 >= 0 precondition; the step keeps x[2] = -1, which
+    # must surface as an internal fault even under python -O
+    basis = graver_basis(IntMat(1, 3, ((1, 1, 0),)))
+    with pytest.raises(InternalInconsistencyError):
+        augment_to_optimum((0, 2, -1), basis, (1, 0, 0))
 
 
 def test_augmentation_on_line_segment():
