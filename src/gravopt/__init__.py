@@ -9,8 +9,8 @@ Everything runs in exact integer (or rational) arithmetic.
 from .apps import (MultiwayInstance, PackingInstance, PartitionInstance,
                    build_multiway, build_packing, build_partition,
                    build_threeway, cluster_variance)
-from .bruteforce import (EnumBudget, brute_convex_max, enumerate_feasible,
-                         hull_edges_2d)
+from .bruteforce import (EnumBudget, brute_convex_max, brute_force_graver,
+                         enumerate_feasible)
 from .config import DEFAULT_CONFIG, RunConfig
 from .convexopt import (CallbackObjective, ConvexObjective, ConvexOutcome,
                         LinearObjective, MaxLinearObjective, NegatedObjective,
@@ -19,12 +19,12 @@ from .convexopt import (CallbackObjective, ConvexObjective, ConvexOutcome,
 from .errors import (DimensionMismatchError, GravoptError,
                      InfeasibleInstanceError, InternalInconsistencyError,
                      ResourceLimitError, UsageError)
-from .graver import (GraverBasis, brute_force_graver, conformal_decompose,
-                     conformal_leq, graver_basis)
+from .graver import (GraverBasis, conformal_decompose, conformal_leq,
+                     graver_basis)
 from .intlinalg import (IntMat, dot, format_matrix, lattice_kernel_basis,
                         mat_vec, parse_matrix, rank, solve_integer)
-from .ipsolve import (IPInstance, SolveOutcome, augment_to_optimum,
-                      find_feasible, solve_ip, solve_nfold_ip)
+from .ipsolve import (SolveOutcome, augment_to_optimum, find_feasible,
+                      solve_ip, solve_nfold_ip)
 from .nfold import (NFoldRhs, NFoldStencil, graver_complexity, nfold_graver,
                     nfold_matrix, nproduct)
 from .zonotope import ZonotopeVertex, zonotope_vertices
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CallbackObjective", "ConvexObjective", "ConvexOutcome",
     "DEFAULT_CONFIG", "DimensionMismatchError", "EnumBudget", "GraverBasis",
-    "GravoptError", "IPInstance", "InfeasibleInstanceError", "IntMat",
+    "GravoptError", "InfeasibleInstanceError", "IntMat",
     "InternalInconsistencyError", "LinearObjective", "MaxLinearObjective",
     "MultiwayInstance", "NFoldRhs", "NFoldStencil", "NegatedObjective",
     "ObjectiveWeights", "PackingInstance", "PartitionInstance",
@@ -44,7 +44,7 @@ __all__ = [
     "build_multiway", "build_packing", "build_partition", "build_threeway",
     "cluster_variance", "conformal_decompose", "conformal_leq",
     "convex_maximize", "dot", "enumerate_feasible", "find_feasible",
-    "format_matrix", "graver_basis", "graver_complexity", "hull_edges_2d",
+    "format_matrix", "graver_basis", "graver_complexity",
     "lattice_kernel_basis", "mat_vec", "nfold_graver", "nfold_matrix",
     "nproduct", "parse_matrix", "rank", "solve_convex_nfold", "solve_integer",
     "solve_ip", "solve_nfold_ip", "zonotope_vertices",

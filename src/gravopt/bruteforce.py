@@ -1,7 +1,8 @@
 """Independent desk-scale oracles: exhaustive lattice enumeration,
-exhaustive convex maximization, 2-D hull edge extraction.
+exhaustive convex maximization, Graver bases by box enumeration.
 
-These deliberately share no code path with the main pipeline; the verify
+These deliberately share no search code with the main pipeline (the
+Graver oracle reuses only its conformal-minimality filter); the verify
 command and the test suite compare the two.
 """
 
@@ -9,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .convexopt import ConvexObjective, ObjectiveWeights
 from .errors import DimensionMismatchError, ResourceLimitError
+from .graver import GraverBasis, _minimal_filter
 from .intlinalg import IntMat, mat_vec
 
 _CHUNK = 65536
@@ -96,46 +97,19 @@ def brute_convex_max(points: Sequence[Sequence[int]],
     return best[1], best[0]
 
 
-def _primitive_direction(v: tuple) -> tuple:
-    g = gcd(abs(v[0]), abs(v[1]))
-    p = (v[0] // g, v[1] // g)
-    if p[0] < 0 or (p[0] == 0 and p[1] < 0):
-        p = (-p[0], -p[1])
-    return p
+def brute_force_graver(A: IntMat, box: int) -> GraverBasis:
+    """Test oracle: enumerate kernel points in [-box, box]^n, filter to the
+    conformally minimal ones.  Correct whenever every true basis element
+    fits in the box.
 
-
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def hull_edges_2d(points: Sequence[Sequence[int]]) -> list:
-    """Primitive edge directions of the 2-D convex hull, exact arithmetic.
-
-    Collinear input yields the single direction; fewer than two distinct
-    points yield nothing.
+    The kernel points are the y - box*1 with A y = A (box, .., box) and
+    y in [0, 2*box]^n, so `enumerate_feasible` and its default budget do
+    the enumeration.
     """
-    pts = sorted({(int(p[0]), int(p[1])) for p in points})
-    if len(pts) < 2:
-        return []
-    if any(len(p) != 2 for p in points):
-        raise DimensionMismatchError("hull_edges_2d needs 2-D points")
-    # Andrew monotone chain
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        # all collinear: single direction from the sorted extremes
-        return [_primitive_direction((pts[-1][0] - pts[0][0],
-                                      pts[-1][1] - pts[0][1]))]
-    dirs = set()
-    for a, b in zip(hull, hull[1:] + hull[:1]):
-        dirs.add(_primitive_direction((b[0] - a[0], b[1] - a[1])))
-    return sorted(dirs)
+    if box <= 0:
+        raise ValueError("box must be positive")
+    n = A.cols
+    ys = enumerate_feasible(A, mat_vec(A, (box,) * n),
+                            EnumBudget(bounds=(2 * box,) * n))
+    pts = [x for x in (tuple(v - box for v in y) for y in ys) if any(x)]
+    return GraverBasis(tuple(sorted(_minimal_filter(pts))), A)

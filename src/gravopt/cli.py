@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from typing import Optional
 
 from .apps import (MultiwayInstance, PackingInstance, PartitionInstance,
@@ -180,12 +181,8 @@ def _resolve_objective(objective, d: int):
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for name in ("basis_cap", "enum_cap", "lift_cap", "dim_cap", "threads"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    return RunConfig.from_env(**overrides)
+    return RunConfig.from_env(**{f.name: getattr(args, f.name, None)
+                                 for f in fields(RunConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +394,11 @@ def _cmd_verify(args, config: RunConfig) -> int:
     schema, (stencil, n, rhs, weights, _decode) = _load_instance(
         args.instance, accepted)
     objective = _resolve_objective(parse_objective(args.objective), weights.d)
-    out = solve_convex_nfold(stencil, n, weights, rhs, objective, config)
     A, b = nfold_matrix(stencil, n), rhs.concat()
     budget = EnumBudget(max_points=args.max_points,
                         bounds=enumeration_box(A, b))
     points = enumerate_feasible(A, b, budget)
+    out = solve_convex_nfold(stencil, n, weights, rhs, objective, config)
 
     report = {"schema": report_schema, "instance_schema": schema,
               "pipeline_status": out.status, "points": len(points)}
@@ -438,12 +435,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub):
     sub.add_argument("--output", help="write the result here atomically "
                      "instead of stdout")
-    for flag, name in (("--basis-cap", "basis_cap"),
-                       ("--enum-cap", "enum_cap"),
-                       ("--lift-cap", "lift_cap"),
-                       ("--dim-cap", "dim_cap"),
-                       ("--threads", "threads")):
-        sub.add_argument(flag, dest=name, type=int, default=None,
+    for f in fields(RunConfig):
+        sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                         type=int, default=None,
                          help="guard override (beats the GRAVOPT_* "
                          "environment variable)")
 

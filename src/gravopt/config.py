@@ -4,16 +4,16 @@ Every cap can be overridden by an environment variable (flags passed on
 the command line win over the environment):
 
     GRAVOPT_BASIS_CAP   max number of Graver basis elements
-    GRAVOPT_ENUM_CAP    max number of lattice points enumerated brute force
     GRAVOPT_LIFT_CAP    max number of layer placements when lifting a basis
     GRAVOPT_DIM_CAP     max zonotope dimension
-    GRAVOPT_THREADS     worker count for per-vertex oracle queries
+    GRAVOPT_THREADS     accepted and validated; vertex queries run serially
+                        (they are pure Python and hold the GIL)
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 _ENV_PREFIX = "GRAVOPT_"
 
@@ -21,25 +21,24 @@ _ENV_PREFIX = "GRAVOPT_"
 @dataclass(frozen=True)
 class RunConfig:
     basis_cap: int = 1_000_000
-    enum_cap: int = 1_000_000
     lift_cap: int = 5_000_000
     dim_cap: int = 6
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("basis_cap", "enum_cap", "lift_cap", "dim_cap", "threads"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
     @classmethod
     def from_env(cls, **overrides) -> "RunConfig":
         """Defaults, then environment variables, then explicit overrides."""
         cfg = cls()
         kwargs = {}
-        for name in ("basis_cap", "enum_cap", "lift_cap", "dim_cap", "threads"):
-            raw = os.environ.get(_ENV_PREFIX + name.upper())
+        for f in fields(cls):
+            raw = os.environ.get(_ENV_PREFIX + f.name.upper())
             if raw is not None:
-                kwargs[name] = int(raw)
+                kwargs[f.name] = int(raw)
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return replace(cfg, **kwargs) if kwargs else cfg
 

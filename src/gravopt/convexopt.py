@@ -10,7 +10,6 @@ call.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -182,15 +181,7 @@ def convex_maximize(lip: Callable, weights: ObjectiveWeights,
     verts = zonotope_vertices(D, dim=weights.d, config=config)
     stats.vertices = len(verts)
 
-    def query(vert):
-        h = lift_normal(vert.certificate, weights)
-        return lip(h)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            replies = list(pool.map(query, verts))
-    else:
-        replies = [query(v) for v in verts]
+    replies = [lip(lift_normal(v.certificate, weights)) for v in verts]
     stats.oracle_queries += len(replies)
 
     best = None  # (z, x)

@@ -4,7 +4,8 @@ The basis of a matrix A is the set of conformally-minimal nonzero integer
 vectors in ker(A).  It is computed by a Pottier-style normal-form
 completion: seed with the signed lattice kernel basis, close under pair
 sums reduced to conformal normal form, then filter to minimal elements.
-A brute-force box enumeration of the same set doubles as the test oracle.
+The test oracle, a brute-force box enumeration of the same set, is
+`bruteforce.brute_force_graver`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (DimensionMismatchError, InternalInconsistencyError,
@@ -162,35 +161,3 @@ def conformal_decompose(g: Sequence[int], basis: GraverBasis) -> list:
                 "the basis is not complete for its matrix")
     return sorted(parts)
 
-
-def _box_kernel_points(A: IntMat, box: int, config: RunConfig) -> list:
-    """All nonzero points of [-box, box]^n with Ax = 0, via numpy."""
-    n = A.cols
-    total = (2 * box + 1) ** n
-    if total > config.enum_cap:
-        raise ResourceLimitError(
-            f"box enumeration of {total} points exceeds cap {config.enum_cap}")
-    rng = np.arange(-box, box + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    if A.rows:
-        mat = np.array(A.data, dtype=np.int64)
-        # int64 is safe at desk scale; verify to be sure
-        if abs(mat).max(initial=0) * box * n >= 2 ** 62:
-            raise ResourceLimitError("entries too large for the box oracle")
-        mask = (pts @ mat.T == 0).all(axis=1)
-        pts = pts[mask]
-    pts = pts[np.any(pts != 0, axis=1)]
-    return [tuple(int(v) for v in row) for row in pts]
-
-
-def brute_force_graver(A: IntMat, box: int,
-                       config: RunConfig = DEFAULT_CONFIG) -> GraverBasis:
-    """Test oracle: enumerate kernel points in the box, filter to the
-    conformally minimal ones.  Correct whenever every true basis element
-    fits in the box."""
-    if box <= 0:
-        raise ValueError("box must be positive")
-    pts = _box_kernel_points(A, box, config)
-    minimal = _minimal_filter(pts)
-    return GraverBasis(tuple(sorted(minimal)), A)

@@ -55,9 +55,6 @@ class IntMat:
     def zero(cls, rows: int, cols: int) -> "IntMat":
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
-    def row(self, i: int) -> IntVec:
-        return self.data[i]
-
     def col(self, j: int) -> IntVec:
         return tuple(row[j] for row in self.data)
 

@@ -27,19 +27,6 @@ UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
-class IPInstance:
-    matrix: IntMat
-    rhs: tuple
-    objective: tuple
-
-    def __post_init__(self):
-        if len(self.rhs) != self.matrix.rows:
-            raise DimensionMismatchError("rhs length != row count")
-        if len(self.objective) != self.matrix.cols:
-            raise DimensionMismatchError("objective length != column count")
-
-
-@dataclass(frozen=True)
 class SolveOutcome:
     """Three-way verdict.  Unbounded outcomes carry a certificate ray g
     with Ag = 0, g >= 0 and positive objective gain."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from gravopt.intlinalg import IntMat, dot
@@ -38,9 +39,10 @@ def is_extreme(p: tuple, pts: list, d: int) -> bool:
         S.append(viol)
 
 
-def hull_vertices_2d(points) -> list:
-    """Strict vertices of a planar point set by monotone chain, exact
-    integer arithmetic (collinear points are dropped)."""
+def _hull_cycle_2d(points) -> list:
+    """Strict vertices of a planar point set in cycle order, by Andrew's
+    monotone chain in exact integer arithmetic (collinear points are
+    dropped)."""
     pts = sorted(set(map(tuple, points)))
     if len(pts) <= 2:
         return pts
@@ -56,8 +58,29 @@ def hull_vertices_2d(points) -> list:
             out.append(p)
         return out[:-1]
 
-    hull = chain(pts) + chain(reversed(pts))
-    return sorted(set(hull)) if len(hull) > 1 else pts[:1] + pts[-1:]
+    return chain(pts) + chain(reversed(pts))
+
+
+def hull_vertices_2d(points) -> list:
+    """Strict vertices of a planar point set, sorted."""
+    return sorted(_hull_cycle_2d(points))
+
+
+def hull_edges_2d(points) -> list:
+    """Primitive edge directions of the planar hull, first nonzero entry
+    positive, sorted.  Collinear input yields its single direction; fewer
+    than two distinct points yield nothing."""
+    cycle = _hull_cycle_2d(points)
+    if len(cycle) < 2:
+        return []
+    dirs = set()
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        g = math.gcd(dx, dy)
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        dirs.add((dx // g, dy // g))
+    return sorted(dirs)
 
 
 def enumerate_nfold(stencil, rhs, layer_bounds) -> list:

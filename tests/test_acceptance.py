@@ -10,11 +10,11 @@ from conftest import (enumerate_nfold, hull_extreme_points, hull_vertices_2d,
                       random_matrix)
 from gravopt.apps import (PackingInstance, PartitionInstance, build_packing,
                           build_partition, build_threeway, cluster_variance)
-from gravopt.bruteforce import brute_convex_max
+from gravopt.bruteforce import brute_convex_max, brute_force_graver
 from gravopt.config import RunConfig
 from gravopt.convexopt import (MaxLinearObjective, SquaredNormObjective,
                                solve_convex_nfold)
-from gravopt.graver import brute_force_graver, graver_basis
+from gravopt.graver import graver_basis
 from gravopt.intlinalg import IntMat, dot, mat_vec
 from gravopt.ipsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_nfold_ip
 from gravopt.nfold import (NFoldRhs, NFoldStencil, graver_complexity,

@@ -1,7 +1,7 @@
 import pytest
 
-from gravopt.bruteforce import (EnumBudget, brute_convex_max,
-                                enumerate_feasible, hull_edges_2d)
+from conftest import hull_edges_2d
+from gravopt.bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
 from gravopt.convexopt import (LinearObjective, ObjectiveWeights,
                                SquaredNormObjective)
 from gravopt.errors import ResourceLimitError

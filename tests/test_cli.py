@@ -188,6 +188,18 @@ def test_verify_infeasible_transport_stays_inside_the_guard(files, capsys):
     assert report["points"] == 0 and report["pass"] is True
 
 
+def test_verify_checks_the_budget_before_solving(files, monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("verify solved before checking its budget")
+
+    monkeypatch.setattr(cli, "solve_convex_nfold", solve)
+    inst = files("t.json", json.dumps(TRANSPORT_INSTANCE))
+    # the derived box x <= 1 has 2^8 = 256 points
+    assert dispatch(["verify", inst, "--max-points", "100"]) == EXIT_GUARD
+    out = capsys.readouterr()
+    assert out.out == "" and "resource guard" in out.err
+
+
 def _per_schema_bounds(doc, A, b):
     """The hand-written bounds verify used per schema before the box was
     derived from (A, b): 0/1 for partitions, counts plus residual slack

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_nfold
+from conftest import enumerate_nfold, hull_edges_2d
 from gravopt.apps import PartitionInstance, build_partition
-from gravopt.bruteforce import (EnumBudget, brute_convex_max,
-                                enumerate_feasible, hull_edges_2d)
+from gravopt.bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
 from gravopt.config import RunConfig
 from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
                                UNBOUNDED_POLYHEDRON, CallbackObjective,

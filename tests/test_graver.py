@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_matrix
-from gravopt.bruteforce import EnumBudget, enumerate_feasible
+from gravopt.bruteforce import (EnumBudget, brute_force_graver,
+                                enumerate_feasible)
 from gravopt.errors import ResourceLimitError
-from gravopt.graver import (GraverBasis, brute_force_graver,
-                            conformal_decompose, conformal_leq, graver_basis)
+from gravopt.graver import (GraverBasis, conformal_decompose, conformal_leq,
+                            graver_basis)
 from gravopt.intlinalg import IntMat, mat_vec, vec_add, vec_sub
 
 small_vecs = st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(tuple)
@@ -146,6 +147,18 @@ def test_brute_force_graver_matches_known():
     oracle = brute_force_graver(IntMat(1, 3, ((1, 1, 1),)), box=2)
     expected = {(1, -1, 0), (1, 0, -1), (0, 1, -1)}
     assert set(oracle) == expected | {tuple(-a for a in v) for v in expected}
+
+
+def test_brute_force_graver_handles_huge_entries():
+    big = 2 ** 62
+    oracle = brute_force_graver(IntMat(1, 2, ((big, -big),)), 1)
+    assert set(oracle) == {(1, 1), (-1, -1)}
+
+
+def test_brute_force_graver_budget_trips_before_enumerating():
+    # the box [-1, 1]^13 has 3^13 = 1594323 points, over the default budget
+    with pytest.raises(ResourceLimitError, match="1594323"):
+        brute_force_graver(IntMat(1, 13, ((1,) * 13,)), 1)
 
 
 def test_graver_basis_is_hashable_value_object():

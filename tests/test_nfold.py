@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
+from gravopt.bruteforce import brute_force_graver
 from gravopt.config import RunConfig
 from gravopt.errors import ResourceLimitError
-from gravopt.graver import brute_force_graver, graver_basis
+from gravopt.graver import graver_basis
 from gravopt.intlinalg import IntMat, mat_vec, vstack
 from gravopt.nfold import (NFoldRhs, NFoldStencil, brick_type,
                            graver_complexity, nfold_graver, nfold_matrix,
