@@ -19,8 +19,7 @@ from .convexopt import (CallbackObjective, ConvexObjective, ConvexOutcome,
 from .errors import (DimensionMismatchError, GravoptError,
                      InfeasibleInstanceError, InternalInconsistencyError,
                      ResourceLimitError, UsageError)
-from .graver import (GraverBasis, conformal_decompose, conformal_leq,
-                     graver_basis)
+from .graver import GraverBasis, conformal_leq, graver_basis
 from .intlinalg import (IntMat, dot, format_matrix, lattice_kernel_basis,
                         mat_vec, parse_matrix, rank, solve_integer)
 from .ipsolve import (SolveOutcome, augment_to_optimum, find_feasible,
@@ -42,7 +41,7 @@ __all__ = [
     "SquaredNormObjective", "UsageError", "ZonotopeVertex",
     "augment_to_optimum", "brute_convex_max", "brute_force_graver",
     "build_multiway", "build_packing", "build_partition", "build_threeway",
-    "cluster_variance", "conformal_decompose", "conformal_leq",
+    "cluster_variance", "conformal_leq",
     "convex_maximize", "dot", "enumerate_feasible", "find_feasible",
     "format_matrix", "graver_basis", "graver_complexity",
     "lattice_kernel_basis", "mat_vec", "nfold_graver", "nfold_matrix",

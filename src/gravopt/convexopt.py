@@ -181,11 +181,12 @@ def convex_maximize(lip: Callable, weights: ObjectiveWeights,
     verts = zonotope_vertices(D, dim=weights.d, config=config)
     stats.vertices = len(verts)
 
-    replies = [lip(lift_normal(v.certificate, weights)) for v in verts]
+    lifted = [lift_normal(v.certificate, weights) for v in verts]
+    replies = [lip(h) for h in lifted]
     stats.oracle_queries += len(replies)
 
     best = None  # (z, x)
-    for vert, reply in zip(verts, replies):
+    for vert, h, reply in zip(verts, lifted, replies):
         if reply.status == UNBOUNDED:
             return ConvexOutcome(UNBOUNDED_POLYHEDRON, stats=stats)
         if reply.status == INFEASIBLE:
@@ -193,7 +194,6 @@ def convex_maximize(lip: Callable, weights: ObjectiveWeights,
                 "oracle reported infeasible after a feasible probe")
         x = reply.x
         z = weights.project(x)
-        h = lift_normal(vert.certificate, weights)
         if dot(vert.certificate, z) != dot(h, x):
             raise InternalInconsistencyError(
                 "projection identity cert.z != lifted.x failed")

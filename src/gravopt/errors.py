@@ -16,9 +16,8 @@ class ResourceLimitError(GravoptError, RuntimeError):
 
 
 class InternalInconsistencyError(GravoptError, RuntimeError):
-    """An invariant that should hold by construction failed, e.g. a kernel
-    vector without a conformal decomposition over a supposedly complete
-    Graver basis."""
+    """An invariant that should hold by construction failed, e.g. an
+    oracle reply breaking the projection identity cert.z == lifted.x."""
 
 
 class InfeasibleInstanceError(GravoptError, ValueError):

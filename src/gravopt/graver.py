@@ -1,4 +1,4 @@
-"""Conformal order, Graver bases by completion, conformal decomposition.
+"""Conformal order and Graver bases by completion.
 
 The basis of a matrix A is the set of conformally-minimal nonzero integer
 vectors in ker(A).  It is computed by a Pottier-style normal-form
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (DimensionMismatchError, InternalInconsistencyError,
-                     ResourceLimitError)
+from .errors import DimensionMismatchError, ResourceLimitError
 from .intlinalg import IntMat, IntVec, lattice_kernel_basis, vec_sub
 
 
@@ -137,27 +136,3 @@ def graver_basis(A: IntMat, config: RunConfig = DEFAULT_CONFIG) -> GraverBasis:
             pairs.extend((k, idx) for k in range(idx + 1))
     minimal = _minimal_filter(basis)
     return GraverBasis(tuple(sorted(minimal)), A)
-
-
-def conformal_decompose(g: Sequence[int], basis: GraverBasis) -> list:
-    """Write g as a sum of basis elements, each conformal to g.
-
-    Greedy in canonical order.  A nonzero remainder with no conformal
-    basis element signals a wrong basis and raises.
-    """
-    remainder = tuple(g)
-    if not any(remainder):
-        raise ValueError("cannot decompose the zero vector")
-    parts = []
-    while any(remainder):
-        for h in basis.elements:
-            if conformal_leq(h, remainder):
-                parts.append(h)
-                remainder = vec_sub(remainder, h)
-                break
-        else:
-            raise InternalInconsistencyError(
-                f"no conformal basis element for remainder {remainder}; "
-                "the basis is not complete for its matrix")
-    return sorted(parts)
-

@@ -55,9 +55,6 @@ class IntMat:
     def zero(cls, rows: int, cols: int) -> "IntMat":
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
-    def col(self, j: int) -> IntVec:
-        return tuple(row[j] for row in self.data)
-
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
@@ -65,16 +62,8 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence[int], v: Sequence[int]) -> IntVec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> IntVec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: int, u: Sequence[int]) -> IntVec:
-    return tuple(c * a for a in u)
 
 
 def mat_vec(A: IntMat, x: Sequence[int]) -> IntVec:
@@ -83,18 +72,6 @@ def mat_vec(A: IntMat, x: Sequence[int]) -> IntVec:
         raise DimensionMismatchError(
             f"matrix has {A.cols} columns, vector has length {len(x)}")
     return tuple(sum(a * b for a, b in zip(row, x)) for row in A.data)
-
-
-def transpose(A: IntMat) -> IntMat:
-    return IntMat(A.cols, A.rows,
-                  tuple(tuple(A.data[i][j] for i in range(A.rows))
-                        for j in range(A.cols)))
-
-
-def vstack(A: IntMat, B: IntMat) -> IntMat:
-    if A.cols != B.cols:
-        raise DimensionMismatchError("vstack with differing column counts")
-    return IntMat(A.rows + B.rows, A.cols, A.data + B.data)
 
 
 def _column_echelon(A: IntMat):

@@ -87,23 +87,28 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
         if not neg:
             return SolveOutcome.unbounded(g)
         gains.append((supp, wg, neg))
+    # a step moves x only on its support, so only the elements with a
+    # negative entry there change their step length
+    blocked_by: list = [[] for _ in x]
+    for i, (_, _, neg) in enumerate(gains):
+        for j, _ in neg:
+            blocked_by[j].append(i)
+    scores = [_max_step_neg(x, neg) * wg for _, wg, neg in gains]
     while True:
-        best = None  # (score, order, supp, lam)
-        for order, (supp, wg, neg) in enumerate(gains):
-            lam = _max_step_neg(x, neg)
-            if lam < 1:
-                continue
-            score = lam * wg
-            if best is None or score > best[0]:
-                best = (score, order, supp, lam)
-        if best is None:
+        # the first element in canonical order among the best scores
+        best = max(range(len(scores)), key=scores.__getitem__, default=None)
+        if best is None or scores[best] <= 0:
             return SolveOutcome.optimal(tuple(x), dot(w, x))
-        _, _, supp, lam = best
+        supp, wg, _ = gains[best]
+        lam = scores[best] // wg
         for j, a in supp:
             x[j] += lam * a
         if min(x) < 0:
             raise InternalInconsistencyError(
                 "augmentation left the nonnegative orthant")
+        for i in {i for j, _ in supp for i in blocked_by[j]}:
+            _, wg, neg = gains[i]
+            scores[i] = _max_step_neg(x, neg) * wg
 
 
 def _negpart(x: Sequence[int]) -> int:
@@ -142,6 +147,9 @@ def drive_nonnegative(x0: Sequence[int], basis: GraverBasis) -> tuple:
     while _negpart(x) < 0:
         best = None  # (gain, order, supp, lam)
         for order, supp in enumerate(basis.supports):
+            # only a positive entry at a negative coordinate can gain
+            if not any(a > 0 and x[j] < 0 for j, a in supp):
+                continue
             lam, gain = _best_negpart_step(x, supp)
             if gain > 0 and (best is None or gain > best[0]):
                 best = (gain, order, supp, lam)

@@ -117,13 +117,18 @@ def nproduct(A: IntMat, n: int) -> IntMat:
     return nfold_matrix(NFoldStencil(IntMat.identity(A.cols), A), n)
 
 
-@functools.lru_cache(maxsize=None)
+# bases and complexities kept per process; one stencil needs at most
+# three bases (A2, the outer matrix, the level-g matrix) and one complexity
+_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_graver(A: IntMat, basis_cap: int) -> GraverBasis:
     cfg = RunConfig(basis_cap=basis_cap)
     return graver_basis(A, cfg)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def graver_complexity(stencil: NFoldStencil,
                       config: RunConfig = DEFAULT_CONFIG) -> int:
     """Largest brick type occurring in any n-fold basis of the stencil.

@@ -2,14 +2,16 @@
 
 A vertex of zone(D) is a signed sum of the generators, one sign pattern
 per full-dimensional cell of the central arrangement of the hyperplanes
-orthogonal to the generators.  The enumeration therefore walks cells,
-not the exponentially many sign vectors: parallel generators are merged
-into one aggregate per primitive direction and the problem is restricted
-to the integer span of the aggregates.  There, every vertex lies on a
-facet, and the facet with outer normal s*r is a translate of the
-zonotope of the generators orthogonal to r, one dimension lower; the
-cells are found by recursing into the facets, down to the two
-half-lines of rank 1.  The facet normals are the integer kernels of the
+orthogonal to the generators, and distinct cells have distinct
+vertices.  The enumeration therefore walks cells, not the exponentially
+many sign vectors, and keys each cell by its vertex: parallel
+generators are merged into one aggregate per primitive direction and
+the problem is restricted to the integer span of the aggregates.
+There, every vertex lies on a facet, and the facet with outer normal
+s*r is the zonotope of the generators orthogonal to r, one dimension
+lower, translated by s times the off-facet sum of sgn(r.e)*e; the cells
+are found by recursing into the facets, down to the two half-lines of
+rank 1.  The facet normals are the integer kernels of the
 (k-1)-subsets of the generators.  Each cell carries an exact integer
 witness direction, which doubles as the separation certificate: a facet
 witness c' lifts to lam*s*r + c', with lam > |c'.e| for every
@@ -27,19 +29,19 @@ from typing import Optional, Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (DimensionMismatchError, InternalInconsistencyError,
                      ResourceLimitError)
-from .intlinalg import IntMat, dot, lattice_kernel_basis, rank
+from .intlinalg import IntMat, _column_echelon, dot, lattice_kernel_basis
 # not called here: bound only because perfbench/spans.py wraps this name
 from .ratlp import find_interior_direction  # noqa: F401
 
 
 @dataclass(frozen=True)
 class ZonotopeVertex:
-    """A vertex, an integer direction uniquely maximized there, and the
-    generator signs realizing it (zero generators get +1)."""
+    """A vertex and an integer direction uniquely maximized there.  The
+    certificate is strict on every nonzero generator e, so the vertex is
+    the sum of sgn(certificate.e)*e."""
 
     vertex: tuple
     certificate: tuple
-    signs: tuple
 
 
 def _primitive(e: Sequence[int]):
@@ -57,72 +59,73 @@ def _primitive(e: Sequence[int]):
 
 
 def _independent_subset(vectors: list) -> list:
-    """Greedy maximal linearly independent subset, in input order."""
-    chosen: list = []
-    for v in vectors:
-        trial = chosen + [v]
-        if rank(IntMat.from_rows(trial, cols=len(v))) == len(trial):
-            chosen.append(v)
-    return chosen
+    """Greedy maximal linearly independent subset, in input order: the
+    pivot rows of the column echelon form."""
+    A = IntMat.from_rows(vectors, cols=len(vectors[0]))
+    return [vectors[r] for r, _ in _column_echelon(A)[2]]
 
 
 def _sgn(a: int) -> int:
     return (a > 0) - (a < 0)
 
 
-def _span_cells(gens: list) -> list:
-    """Cells of pairwise non-parallel nonzero generators, as (signs,
-    witness) pairs.  Generators of a proper subspace are expressed
-    against an integer basis of their span, and the witnesses mapped
-    back.  Spanning generators keep their coordinates, and witnesses are
+def _span_cells(gens: list, vecs: list) -> list:
+    """Cells of pairwise non-parallel nonzero generators, as (vertex,
+    witness) pairs; the vertex sums vecs[i] with the cell's sign on
+    gens[i].  Generators of a proper subspace are expressed against an
+    integer basis of their span, and the witnesses mapped back.
+    Spanning generators keep their coordinates, and witnesses are
     divided by their gcd: both keep the witnesses, and so every later
     oracle query, on small integers."""
     basis = _independent_subset(gens)
     dim = len(gens[0])
     if len(basis) == dim:
-        cells = _cells(gens)
+        cells = _cells(gens, vecs)
     else:
         reduced = [tuple(dot(b, e) for b in basis) for e in gens]
-        cells = [(sigma, tuple(sum(yi * b[j] for yi, b in zip(y, basis))
-                               for j in range(dim)))
-                 for sigma, y in _cells(reduced)]
+        cells = [(v, tuple(sum(yi * b[j] for yi, b in zip(y, basis))
+                           for j in range(dim)))
+                 for v, y in _cells(reduced, vecs)]
     out = []
-    for sigma, c in cells:
+    for v, c in cells:
         g = gcd(*c)
-        out.append((sigma, tuple(a // g for a in c)))
+        out.append((v, tuple(a // g for a in c)))
     return out
 
 
-def _cells(reduced: list) -> list:
+def _cells(reduced: list, vecs: list) -> list:
     """Cells of pairwise non-parallel generators of rank k in Z^k, each
-    with a strict integer witness y (sgn(y.e) is the cell's sign on e),
-    by recursion over the facets of their zonotope."""
+    as its vertex (the sum of vecs[i] signed as the cell is on
+    reduced[i]) and a strict integer witness y, by recursion over the
+    facets of their zonotope."""
     k = len(reduced[0])
     if k == 1:
         if len(reduced) != 1:
             raise InternalInconsistencyError(
                 "non-parallel generators in a rank-1 span")
-        e = reduced[0]
-        return [((1,), e), ((-1,), tuple(-a for a in e))]
+        e, v = reduced[0], vecs[0]
+        return [(v, e), (tuple(-a for a in v), tuple(-a for a in e))]
     normals: dict = {}
     for subset in combinations(reduced, k - 1):
         kernel = lattice_kernel_basis(IntMat.from_rows(subset, cols=k))
         if len(kernel) == 1:
             normals.setdefault(_primitive(kernel[0])[0], None)
     bound = max(abs(a) for e in reduced for a in e)
+    dim = len(vecs[0])
     cells: dict = {}
     for r in normals:
-        rdots = [dot(r, e) for e in reduced]
-        on = [i for i, v in enumerate(rdots) if v == 0]
-        for facet_sigma, c in _span_cells([reduced[i] for i in on]):
+        sides = [_sgn(dot(r, e)) for e in reduced]
+        on = [i for i, side in enumerate(sides) if side == 0]
+        off = [sum(side * v[j] for side, v in zip(sides, vecs))
+               for j in range(dim)]
+        for facet_vertex, c in _span_cells([reduced[i] for i in on],
+                                           [vecs[i] for i in on]):
             lam = 1 + sum(abs(a) for a in c) * bound
-            on_sign = dict(zip(on, facet_sigma))
             for s in (1, -1):
-                sigma = tuple(on_sign[i] if v == 0 else s * _sgn(v)
-                              for i, v in enumerate(rdots))
-                if sigma not in cells:
-                    cells[sigma] = tuple(lam * s * a + b
-                                         for a, b in zip(r, c))
+                vertex = tuple(s * a + b for a, b in zip(off, facet_vertex))
+                if vertex not in cells:
+                    cells[vertex] = tuple(lam * s * a + b
+                                          for a, b in zip(r, c))
     return list(cells.items())
 
 
@@ -151,29 +154,13 @@ def zonotope_vertices(generators: Sequence[Sequence[int]],
 
     # merge parallel generators into one aggregate per primitive direction
     classes: dict = {}
-    memberships = []  # per generator: (primitive, alpha) or None for zero
     for e in gens:
         p, alpha = _primitive(e)
-        memberships.append((p, alpha))
         if p is not None:
             classes[p] = classes.get(p, 0) + abs(alpha)
-    zero = (0,) * dim
     if not classes:
-        return [ZonotopeVertex(zero, zero, (1,) * len(gens))]
-    prims = sorted(classes)
-    aggregates = [tuple(classes[p] * a for a in p) for p in prims]
-
-    out = []
-    for sigma, cert in _span_cells(aggregates):
-        vertex = [0] * dim
-        for sg, agg in zip(sigma, aggregates):
-            for j, a in enumerate(agg):
-                vertex[j] += sg * a
-        sign_by_prim = dict(zip(prims, sigma))
-        signs = tuple(1 if p is None else sign_by_prim[p] * _sgn(alpha)
-                      for p, alpha in memberships)
-        out.append(ZonotopeVertex(tuple(vertex), cert, signs))
-    out.sort(key=lambda zv: zv.vertex)
-    if len({zv.vertex for zv in out}) != len(out):
-        raise InternalInconsistencyError("two cells gave the same vertex")
-    return out
+        zero = (0,) * dim
+        return [ZonotopeVertex(zero, zero)]
+    aggregates = [tuple(classes[p] * a for a in p) for p in sorted(classes)]
+    return [ZonotopeVertex(v, c)
+            for v, c in sorted(_span_cells(aggregates, aggregates))]

@@ -6,8 +6,62 @@ import itertools
 import math
 import random
 
-from gravopt.intlinalg import IntMat, dot
+from gravopt.errors import DimensionMismatchError, InternalInconsistencyError
+from gravopt.graver import GraverBasis, conformal_leq
+from gravopt.intlinalg import IntMat, dot, vec_sub
 from gravopt.ratlp import find_interior_direction
+
+
+# -- vector and matrix helpers only the tests use ---------------------------
+
+def col(A: IntMat, j: int) -> tuple:
+    return tuple(row[j] for row in A.data)
+
+
+def vec_add(u, v) -> tuple:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_scale(c: int, u) -> tuple:
+    return tuple(c * a for a in u)
+
+
+def transpose(A: IntMat) -> IntMat:
+    return IntMat(A.cols, A.rows,
+                  tuple(tuple(A.data[i][j] for i in range(A.rows))
+                        for j in range(A.cols)))
+
+
+def vstack(A: IntMat, B: IntMat) -> IntMat:
+    if A.cols != B.cols:
+        raise DimensionMismatchError("vstack with differing column counts")
+    return IntMat(A.rows + B.rows, A.cols, A.data + B.data)
+
+
+def conformal_decompose(g, basis: GraverBasis) -> list:
+    """Write g as a sum of basis elements, each conformal to g.
+
+    Greedy in canonical order.  A nonzero remainder with no conformal
+    basis element signals a wrong basis and raises.
+    """
+    remainder = tuple(g)
+    if not any(remainder):
+        raise ValueError("cannot decompose the zero vector")
+    parts = []
+    while any(remainder):
+        for h in basis.elements:
+            if conformal_leq(h, remainder):
+                parts.append(h)
+                remainder = vec_sub(remainder, h)
+                break
+        else:
+            raise InternalInconsistencyError(
+                f"no conformal basis element for remainder {remainder}; "
+                "the basis is not complete for its matrix")
+    return sorted(parts)
+
+
+# -- random instances and independent oracles -------------------------------
 
 
 def random_matrix(rng: random.Random, max_rows: int = 3, max_cols: int = 5,

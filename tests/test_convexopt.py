@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_nfold, hull_edges_2d
-from gravopt.apps import PartitionInstance, build_partition
+from gravopt.apps import PartitionInstance, build_partition, build_threeway
 from gravopt.bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
 from gravopt.config import RunConfig
 from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
@@ -165,6 +165,44 @@ def test_rank3_clustering_matches_bruteforce():
                 _bx, bz = brute_convex_max(pts, weights, objective)
                 assert objective.compare_leq(bz, out.z)
                 assert objective.compare_leq(out.z, bz)
+
+
+def test_d3_transport_matches_bruteforce():
+    # three weight arrays on 2x2xn tables: from n = 4 the projected
+    # directions span rank 3, so the zonotope stage recurses over facets
+    rng = random.Random(3033)
+    top_rank = 0
+    for n in (1, 2, 3, 4, 4, 4, 4, 4):
+        tab = [[[rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
+               for _ in range(2)]
+        u = [[sum(tab[i][j]) for j in range(2)] for i in range(2)]
+        v = [[tab[i][0][k] + tab[i][1][k] for k in range(n)]
+             for i in range(2)]
+        z = [[tab[0][j][k] + tab[1][j][k] for k in range(n)]
+             for j in range(2)]
+        stencil, rhs, codec = build_threeway(2, 2, n, u, v, z)
+        arrays = [[[[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
+                   for _ in range(2)] for _ in range(3)]
+        weights = codec.encode_weights(arrays)
+        directions = project_directions(
+            nfold_graver(stencil, n).elements, weights)
+        if directions:
+            top_rank = max(top_rank, rank(IntMat.from_rows(directions)))
+        bounds = [tuple(min(u[i][j], v[i][k], z[j][k])
+                        for i in range(2) for j in range(2))
+                  for k in range(n)]
+        pts = enumerate_nfold(stencil, rhs, bounds)
+        maxlin = MaxLinearObjective(tuple(
+            tuple(rng.randint(-2, 2) for _ in range(3))
+            for _ in range(rng.randint(1, 3))))
+        for objective in (SquaredNormObjective(), maxlin):
+            out = solve_convex_nfold(stencil, n, weights, rhs, objective)
+            assert out.status == OPTIMAL_OUTCOME
+            assert out.x in pts and weights.project(out.x) == out.z
+            _bx, bz = brute_convex_max(pts, weights, objective)
+            assert objective.compare_leq(bz, out.z)
+            assert objective.compare_leq(out.z, bz)
+    assert top_rank == 3
 
 
 def test_weights_validation():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrix
+from conftest import col, conformal_decompose, random_matrix, vec_add
 from gravopt.bruteforce import (EnumBudget, brute_force_graver,
                                 enumerate_feasible)
 from gravopt.errors import ResourceLimitError
-from gravopt.graver import (GraverBasis, conformal_decompose, conformal_leq,
-                            graver_basis)
-from gravopt.intlinalg import IntMat, mat_vec, vec_add, vec_sub
+from gravopt.graver import GraverBasis, conformal_leq, graver_basis
+from gravopt.intlinalg import IntMat, mat_vec, vec_sub
 
 small_vecs = st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(tuple)
 
@@ -115,7 +114,7 @@ def test_edge_direction_coverage_via_feasible_differences():
     done = 0
     while done < 25:
         A = random_matrix(rng, max_rows=2, max_cols=4, lo=0, hi=3)
-        if any(all(v == 0 for v in A.col(j)) for j in range(A.cols)):
+        if any(all(v == 0 for v in col(A, j)) for j in range(A.cols)):
             continue  # zero column: unbounded fibers
         x0 = tuple(rng.randint(0, 3) for _ in range(A.cols))
         b = mat_vec(A, x0)

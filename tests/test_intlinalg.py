@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import transpose, vec_add, vec_scale, vstack
 from gravopt.errors import DimensionMismatchError
 from gravopt.intlinalg import (IntMat, dot, format_matrix,
                                lattice_kernel_basis, mat_vec, parse_matrix,
-                               rank, solve_integer, transpose, vec_add,
-                               vec_scale, vec_sub, vstack)
+                               rank, solve_integer, vec_sub)
 
 int_entries = st.integers(min_value=-9, max_value=9)
 

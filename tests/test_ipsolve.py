@@ -65,6 +65,62 @@ def test_augmentation_value_monotone_and_feasible():
         assert out.value >= dot(w, x0)
 
 
+def _rescan_phase1(x, basis):
+    """Greedy best penalty step, every element and every step length up
+    to the largest |x_j| + 1 rescanned at every step."""
+    x = list(x)
+    while min(x) < 0:
+        best = None  # (gain, g, lam)
+        for g in basis.elements:
+            for lam in range(1, max(abs(v) for v in x) + 2):
+                gain = sum(min(a + lam * b, 0) - min(a, 0)
+                           for a, b in zip(x, g))
+                if gain > 0 and (best is None or gain > best[0]):
+                    best = (gain, g, lam)
+        if best is None:
+            break
+        x = [a + best[2] * b for a, b in zip(x, best[1])]
+    return tuple(x)
+
+
+def _rescan_phase2(x, basis, w):
+    """Greedy best augmentation, every element rescanned at every step."""
+    x = list(x)
+    while True:
+        best = None  # (score, g, lam)
+        for g in basis.elements:
+            if dot(w, g) <= 0:
+                continue
+            lam = min(x[j] // -a for j, a in enumerate(g) if a < 0)
+            if lam >= 1 and (best is None or lam * dot(w, g) > best[0]):
+                best = (lam * dot(w, g), g, lam)
+        if best is None:
+            return tuple(x)
+        x = [a + best[2] * b for a, b in zip(x, best[1])]
+
+
+def test_greedy_steps_match_a_full_rescan():
+    # both phases pick the same step as a full rescan, ties included, on
+    # 2x2xn transport fibers (bounded, so every query is optimal)
+    rng = random.Random(61)
+    stencil = NFoldStencil(IntMat.identity(4),
+                           IntMat(2, 4, ((1, 1, 0, 0), (1, 0, 1, 0))))
+    for n in range(2, 6):
+        basis = graver_basis(nfold_matrix(stencil, n))
+        A = nfold_matrix(stencil, n)
+        for _ in range(3):
+            x0 = tuple(rng.randint(0, 3) for _ in range(4 * n))
+            start = tuple(a + b for a, b in zip(
+                x0, rng.choice(basis.elements)))
+            assert drive_nonnegative(start, basis) == \
+                _rescan_phase1(start, basis)
+            for _ in range(5):
+                w = tuple(rng.randint(-2, 2) for _ in range(4 * n))
+                out = augment_to_optimum(x0, basis, w)
+                assert out.x == _rescan_phase2(x0, basis, w)
+                assert mat_vec(A, out.x) == mat_vec(A, x0)
+
+
 def test_drive_nonnegative_reaches_feasibility():
     A = IntMat(1, 3, ((1, 1, 1),))
     basis = graver_basis(A)

@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
+from conftest import vstack
+from gravopt import nfold
 from gravopt.bruteforce import brute_force_graver
 from gravopt.config import RunConfig
 from gravopt.errors import ResourceLimitError
 from gravopt.graver import graver_basis
-from gravopt.intlinalg import IntMat, mat_vec, vstack
+from gravopt.intlinalg import IntMat, mat_vec
 from gravopt.nfold import (NFoldRhs, NFoldStencil, brick_type,
                            graver_complexity, nfold_graver, nfold_matrix,
                            nproduct, split_layers)
@@ -68,6 +70,18 @@ def test_graver_complexity_examples():
     # empty inner basis degenerates to complexity 1
     st = NFoldStencil(IntMat(1, 1, ((1,),)), IntMat(1, 1, ((1,),)))
     assert graver_complexity(st) == 1
+
+
+def test_basis_caches_are_bounded():
+    for cached in (nfold._cached_graver, graver_complexity):
+        assert cached.cache_info().maxsize is not None
+    # a repeat of a lifted solve is served from the caches
+    nfold_graver(TRANSPORT_2x2, 8)
+    before = nfold._cached_graver.cache_info()
+    nfold_graver(TRANSPORT_2x2, 8)
+    after = nfold._cached_graver.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert after.currsize <= after.maxsize
 
 
 def test_lifting_matches_direct_completion():
