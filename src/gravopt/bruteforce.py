@@ -59,19 +59,20 @@ def enumerate_feasible(A: IntMat, b: Sequence[int],
             raise ResourceLimitError(
                 f"box of {total}+ points exceeds budget {budget.max_points}")
     big = max([1] + [abs(v) for row in A.data for v in row])
-    use_numpy = A.rows > 0 and big * (sum(bounds) + 1) < 2 ** 60
+    # a zero-column box holds one point, the empty one, which
+    # np.unravel_index cannot produce
+    use_numpy = A.rows > 0 and n > 0 and big * (sum(bounds) + 1) < 2 ** 60
     out = []
     if use_numpy:
         mat = np.array(A.data, dtype=np.int64)
         target = np.array(list(b), dtype=np.int64)
-        grid = itertools.product(*(range(bound + 1) for bound in bounds))
-        while True:
-            chunk = list(itertools.islice(grid, _CHUNK))
-            if not chunk:
-                break
-            pts = np.array(chunk, dtype=np.int64)
+        dims = tuple(bound + 1 for bound in bounds)
+        for start in range(0, total, _CHUNK):
+            # C order of the flat index is itertools.product order
+            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+            pts = np.stack(np.unravel_index(idx, dims), axis=1)
             mask = (pts @ mat.T == target).all(axis=1)
-            out.extend(tuple(int(v) for v in row) for row in pts[mask])
+            out.extend(map(tuple, pts[mask].tolist()))
     else:
         bb = tuple(b)
         for x in itertools.product(*(range(bound + 1) for bound in bounds)):

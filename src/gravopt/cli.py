@@ -149,34 +149,28 @@ def _summary(msg: str) -> None:
 # ---------------------------------------------------------------------------
 # Objective selector and JSON schemas.
 
-def parse_objective(selector: str):
-    """norm2 | linear | linear:<coeff-file> | maxlin:<rows-file>."""
+def parse_objective(selector: str, d: int):
+    """norm2 | linear | linear:<coeff-file> | maxlin:<rows-file>, for
+    objective rows of length d (`linear` alone is the all-ones form)."""
     if selector == "norm2":
         return SquaredNormObjective()
     if selector == "linear":
-        return LinearObjective(None)  # coeffs resolved once d is known
+        return LinearObjective((1,) * d)
     if selector.startswith("linear:"):
         mat = _read_matrix(selector[len("linear:"):])
         if mat.rows != 1:
             raise UsageError("linear objective file must have one row")
-        return LinearObjective(mat.data[0])
-    if selector.startswith("maxlin:"):
+        objective = LinearObjective(mat.data[0])
+    elif selector.startswith("maxlin:"):
         mat = _read_matrix(selector[len("maxlin:"):])
         if mat.rows == 0:
             raise UsageError("maxlin objective file must have at least one row")
-        return MaxLinearObjective(mat.data)
-    raise UsageError(f"unknown objective selector {selector!r}")
-
-
-def _resolve_objective(objective, d: int):
-    if isinstance(objective, LinearObjective) and objective.coeffs is None:
-        return LinearObjective((1,) * d)
-    rows = getattr(objective, "rows", None)
-    coeffs = getattr(objective, "coeffs", None)
-    for row in ([coeffs] if coeffs else []) + list(rows or []):
-        if len(row) != d:
-            raise UsageError(
-                f"objective rows have length {len(row)}, expected d={d}")
+        objective = MaxLinearObjective(mat.data)
+    else:
+        raise UsageError(f"unknown objective selector {selector!r}")
+    if mat.cols != d:
+        raise UsageError(
+            f"objective rows have length {mat.cols}, expected d={d}")
     return objective
 
 
@@ -263,7 +257,7 @@ def _solve_and_emit(args, config: RunConfig, schema: str, stencil, n: int,
                     rhs, weights, decode=None) -> int:
     """Solve once; write the `schema` document, plus decode(x) when optimal,
     and the stderr summary; return the exit code."""
-    objective = _resolve_objective(parse_objective(args.objective), weights.d)
+    objective = parse_objective(args.objective, weights.d)
     out = solve_convex_nfold(stencil, n, weights, rhs, objective, config)
     doc = {"schema": schema, "status": out.status}
     if out.is_optimal:
@@ -393,7 +387,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
     report_schema, accepted = COMMANDS[args.command]
     schema, (stencil, n, rhs, weights, _decode) = _load_instance(
         args.instance, accepted)
-    objective = _resolve_objective(parse_objective(args.objective), weights.d)
+    objective = parse_objective(args.objective, weights.d)
     A, b = nfold_matrix(stencil, n), rhs.concat()
     budget = EnumBudget(max_points=args.max_points,
                         bounds=enumeration_box(A, b))

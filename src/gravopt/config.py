@@ -1,4 +1,4 @@
-"""Run-wide resource guards and tuning knobs.
+"""Run-wide resource guards.
 
 Every cap can be overridden by an environment variable (flags passed on
 the command line win over the environment):
@@ -6,8 +6,6 @@ the command line win over the environment):
     GRAVOPT_BASIS_CAP   max number of Graver basis elements
     GRAVOPT_LIFT_CAP    max number of layer placements when lifting a basis
     GRAVOPT_DIM_CAP     max zonotope dimension
-    GRAVOPT_THREADS     accepted and validated; vertex queries run serially
-                        (they are pure Python and hold the GIL)
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ class RunConfig:
     basis_cap: int = 1_000_000
     lift_cap: int = 5_000_000
     dim_cap: int = 6
-    threads: int = 1
 
     def __post_init__(self):
         for f in fields(self):

@@ -167,26 +167,26 @@ def convex_maximize(lip: Callable, weights: ObjectiveWeights,
 
     `lip` maps a linear objective vector to a SolveOutcome.  `directions`
     must cover all edge-directions of the feasible hull (the n-fold entry
-    point supplies a Graver basis).  Any unbounded oracle reply aborts the
-    whole search: the polyhedron is unbounded and oracle-presented convex
+    point supplies a Graver basis).  The vertices are queried one at a
+    time, in enumeration order, and each reply is checked and compared
+    before the next query.  An unbounded reply stops the search at that
+    vertex: the polyhedron is unbounded and oracle-presented convex
     functions are hopeless there.
     """
     stats = SearchStats()
-    n = weights.n
-    probe = lip((0,) * n)
+    probe_status = lip((0,) * weights.n).status
     stats.oracle_queries += 1
-    if probe.status == INFEASIBLE:
+    if probe_status == INFEASIBLE:
         return ConvexOutcome(INFEASIBLE_OUTCOME, stats=stats)
     D = project_directions(directions, weights)
     verts = zonotope_vertices(D, dim=weights.d, config=config)
     stats.vertices = len(verts)
 
-    lifted = [lift_normal(v.certificate, weights) for v in verts]
-    replies = [lip(h) for h in lifted]
-    stats.oracle_queries += len(replies)
-
     best = None  # (z, x)
-    for vert, h, reply in zip(verts, lifted, replies):
+    for vert in verts:
+        h = lift_normal(vert.certificate, weights)
+        reply = lip(h)
+        stats.oracle_queries += 1
         if reply.status == UNBOUNDED:
             return ConvexOutcome(UNBOUNDED_POLYHEDRON, stats=stats)
         if reply.status == INFEASIBLE:

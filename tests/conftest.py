@@ -6,10 +6,11 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 from gravopt.errors import DimensionMismatchError, InternalInconsistencyError
 from gravopt.graver import GraverBasis, conformal_leq
-from gravopt.intlinalg import IntMat, dot, vec_sub
-from gravopt.ratlp import find_interior_direction
+from gravopt.intlinalg import IntMat, vec_sub
 
 
 # -- vector and matrix helpers only the tests use ---------------------------
@@ -71,26 +72,6 @@ def random_matrix(rng: random.Random, max_rows: int = 3, max_cols: int = 5,
     return IntMat(rows, cols,
                   tuple(tuple(rng.randint(lo, hi) for _ in range(cols))
                         for _ in range(rows)))
-
-
-def is_extreme(p: tuple, pts: list, d: int) -> bool:
-    """Exact extremality of p among pts, by cutting planes: grow a small
-    set of difference constraints until a strictly separating direction
-    survives every point or the constraint LP goes infeasible."""
-    others = [q for q in pts if q != p]
-    if not others:
-        return True
-    S = others[:2]
-    while True:
-        rows = [tuple(a - b for a, b in zip(p, q)) for q in S]
-        g = find_interior_direction(rows, d)
-        if g is None:
-            return False
-        gp = dot(g, p)
-        viol = next((q for q in others if dot(g, q) >= gp), None)
-        if viol is None:
-            return True
-        S.append(viol)
 
 
 def _hull_cycle_2d(points) -> list:
@@ -160,11 +141,81 @@ def enumerate_nfold(stencil, rhs, layer_bounds) -> list:
     return out
 
 
+def cross3(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot3(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _rank_3d(vectors) -> tuple:
+    """(rank, c) of integer 3-vectors, where c = u x v for the first
+    nonzero u and the first v not parallel to it (None below rank 2)."""
+    u = next((a for a in vectors if any(a)), None)
+    if u is None:
+        return 0, None
+    c = next((w for w in (cross3(u, a) for a in vectors) if any(w)), None)
+    if c is None:
+        return 1, None
+    return (3 if any(_dot3(c, a) for a in vectors) else 2), c
+
+
+def _vertices_3d(pts: list) -> list:
+    """Vertices of a full-rank point set in Z^3.  p is a vertex iff the
+    normals (q-p)x(r-p) of the planes through p that leave every point on
+    one side have rank 3: a point inside an edge, facet or the interior
+    lies only on supporting planes that contain that face."""
+    P = np.array(pts, dtype=np.int64)
+    span = int(np.abs(P - P[0]).max()) * 2
+    # |normal . difference| <= 6 * span^3 must stay inside int64
+    if 6 * span ** 3 >= 2 ** 62:
+        raise ValueError("coordinates too large for the int64 hull oracle")
+    iu, ju = np.triu_indices(len(pts), k=1)
+    out = []
+    for p in pts:
+        diff = P - np.array(p, dtype=np.int64)
+        normals = np.cross(diff[iu], diff[ju])
+        normals = normals[normals.any(axis=1)]
+        sides = normals @ diff.T
+        support = (sides <= 0).all(axis=1) | (sides >= 0).all(axis=1)
+        rows = np.unique(normals[support], axis=0).tolist()
+        if _rank_3d(rows)[0] == 3:
+            out.append(p)
+    return out
+
+
 def hull_extreme_points(gens: list) -> list:
     """Vertices of the zonotope by exhaustive sign enumeration followed by
-    an exact hull-extremality filter.  Exponential in len(gens)."""
+    an exact hull-extremality filter, for generators in Z^1..Z^3.
+    Exponential in len(gens).
+
+    The points are projected onto coordinates that are independent on
+    their affine span, which keeps the vertex set: a segment keeps its
+    two endpoints, a polygon goes to `hull_vertices_2d`, and a solid to
+    `_vertices_3d`."""
     d = len(gens[0])
+    if d > 3:
+        raise ValueError("hull_extreme_points handles d <= 3")
     pts = sorted({tuple(sum(s * e[j] for s, e in zip(signs, gens))
                         for j in range(d))
                   for signs in itertools.product((1, -1), repeat=len(gens))})
-    return [p for p in pts if is_extreme(p, pts, d)]
+    padded = [p + (0,) * (3 - d) for p in pts]
+    rank, c = _rank_3d([tuple(a - b for a, b in zip(q, padded[0]))
+                        for q in padded])
+    if rank == 0:
+        return pts
+    if rank == 1:
+        # a segment: any coordinate that moves along it orders it
+        j = next(j for j in range(d) if pts[0][j] != pts[-1][j])
+        return sorted({min(pts, key=lambda q: q[j]),
+                       max(pts, key=lambda q: q[j])})
+    if rank == 2:
+        # c_i != 0 makes the other two coordinates independent on the plane
+        i = next(i for i in range(3) if c[i])
+        keep = [j for j in range(3) if j != i]
+        by_image = {(q[keep[0]], q[keep[1]]): p
+                    for p, q in zip(pts, padded)}
+        return sorted(by_image[v] for v in hull_vertices_2d(by_image))
+    return _vertices_3d(pts)

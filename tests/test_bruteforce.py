@@ -13,6 +13,10 @@ def test_segment_enumeration():
     pts = enumerate_feasible(A, (3,), EnumBudget(bounds=(3, 3)))
     assert pts == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert enumerate_feasible(A, (-1,)) == []
+    # a zero-column system has one point, the empty one, when b = 0
+    empty = IntMat(1, 0, ((),))
+    assert enumerate_feasible(empty, (0,)) == [()]
+    assert enumerate_feasible(empty, (1,)) == []
 
 
 def test_default_bound_covers_margin_systems():

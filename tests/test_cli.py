@@ -262,6 +262,27 @@ def test_guard_and_usage_exit_codes(files, capsys):
     capsys.readouterr()
 
 
+def test_threads_is_not_an_option(files, capsys):
+    gens = files("g.mat", "1 2\n1 1\n")
+    assert dispatch(["zonotope", gens, "--threads", "2"]) == EXIT_USAGE
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_objective_length_is_checked_before_solving(files, monkeypatch,
+                                                    capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved with a malformed objective")
+
+    monkeypatch.setattr(cli, "solve_convex_nfold", solve)
+    inst = files("t.json", json.dumps(TRANSPORT_INSTANCE))
+    empty_row = files("c.mat", "1 0\n")
+    for command in ("transport", "verify"):
+        assert dispatch([command, inst, "--objective",
+                         "linear:" + empty_row]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: objective rows have length 0, expected d=2\n")
+
+
 def test_malformed_instances_are_usage_errors(files, capsys):
     listed = files("list.json", "[1, 2]")
     assert dispatch(["transport", listed]) == EXIT_USAGE

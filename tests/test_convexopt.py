@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import enumerate_nfold, hull_edges_2d
 from gravopt.apps import PartitionInstance, build_partition, build_threeway
 from gravopt.bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
-from gravopt.config import RunConfig
 from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
                                UNBOUNDED_POLYHEDRON, CallbackObjective,
                                LinearObjective, MaxLinearObjective,
@@ -17,7 +17,7 @@ from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
                                solve_convex_nfold)
 from gravopt.graver import graver_basis
 from gravopt.intlinalg import IntMat, dot, rank
-from gravopt.ipsolve import solve_ip
+from gravopt.ipsolve import UNBOUNDED, SolveOutcome, solve_ip
 from gravopt.nfold import NFoldRhs, NFoldStencil, nfold_graver
 
 SEGMENT = IntMat(1, 2, ((1, 1),))  # x1 + x2 = b, the 4-point example
@@ -65,6 +65,51 @@ def test_unbounded_reply_aborts():
     out = convex_maximize(lip, W_AXES, basis.elements,
                           SquaredNormObjective())
     assert out.status == UNBOUNDED_POLYHEDRON
+
+
+class _RecordingLip:
+    """The segment oracle, counting its calls and holding only weak
+    references to the replies it returns."""
+
+    def __init__(self, b, unbounded_from=None):
+        self.inner = _segment_lip(b)
+        self.unbounded_from = unbounded_from
+        self.calls = 0
+        self.replies = []
+        self.most_alive = 0
+
+    def __call__(self, w):
+        alive = sum(ref() is not None for ref in self.replies)
+        self.most_alive = max(self.most_alive, alive)
+        self.calls += 1
+        reply = self.inner(w)
+        if self.unbounded_from is not None and \
+                self.calls > self.unbounded_from:
+            reply = SolveOutcome(UNBOUNDED, certificate=(1, 1))
+        self.replies.append(weakref.ref(reply))
+        return reply
+
+
+# surplus directions are harmless, and these make a hexagon: six queries
+HEXAGON = [(1, -1), (1, 0), (0, 1)]
+
+
+def test_vertex_queries_hold_one_reply_at_a_time():
+    lip = _RecordingLip(4)
+    out = convex_maximize(lip, W_AXES, HEXAGON, SquaredNormObjective())
+    assert out.is_optimal and out.z == (0, 4)
+    assert lip.calls == out.stats.oracle_queries == 7
+    assert out.stats.vertices == 6
+    assert lip.most_alive <= 1
+
+
+def test_no_query_follows_an_unbounded_reply():
+    # the probe and the first vertex query answer normally
+    lip = _RecordingLip(4, unbounded_from=2)
+    out = convex_maximize(lip, W_AXES, HEXAGON, SquaredNormObjective())
+    assert out.status == UNBOUNDED_POLYHEDRON
+    assert lip.calls == out.stats.oracle_queries == 3
+    assert out.stats.vertices == 6
 
 
 @settings(max_examples=100, deadline=None)
@@ -120,16 +165,6 @@ def test_scaling_invariance_of_argmax():
     scaled = solve_convex_nfold(st2, 1, scaled_w, rhs, SquaredNormObjective())
     assert scaled.z == tuple(3 * a for a in base.z)
     assert scaled.x == base.x
-
-
-def test_thread_count_does_not_change_output():
-    st2 = NFoldStencil(SEGMENT, IntMat(0, 2, ()))
-    rhs = NFoldRhs.make((5,), [()])
-    weights = ObjectiveWeights.make([(1, 0), (1, 2)])
-    outs = [solve_convex_nfold(st2, 1, weights, rhs, SquaredNormObjective(),
-                               RunConfig(threads=k)) for k in (1, 2, 4)]
-    assert outs[0].x == outs[1].x == outs[2].x
-    assert outs[0].z == outs[1].z == outs[2].z
 
 
 def test_nfold_entrypoint_matches_bruteforce():

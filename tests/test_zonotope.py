@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import hull_extreme_points
+from conftest import cross3, hull_extreme_points
 from gravopt.apps import build_threeway
 from gravopt.config import RunConfig
 from gravopt.convexopt import project_directions
@@ -80,19 +80,14 @@ def test_random_against_sign_enumeration():
         _check_case(gens)
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _general_position_3d(rng, m):
     """m integer vectors in Z^3, pairwise non-parallel and with every
     3-subset linearly independent."""
     gens = []
     while len(gens) < m:
         e = tuple(rng.randint(-9, 9) for _ in range(3))
-        if any(e) and all(any(_cross(e, f)) for f in gens) and \
-                all(dot(e, _cross(f, g))
+        if any(e) and all(any(cross3(e, f)) for f in gens) and \
+                all(dot(e, cross3(f, g))
                     for f, g in itertools.combinations(gens, 2)):
             gens.append(e)
     return gens
