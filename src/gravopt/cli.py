@@ -231,6 +231,8 @@ def _cmd_solve_ip(args, config: RunConfig) -> int:
         if rhs_mat.rows != 1 or rhs_mat.cols != mat.rows:
             raise UsageError("rhs for --matrix must be a single row of "
                              "length equal to the row count")
+        if len(w) != mat.cols:
+            raise UsageError("objective length != column count")
         out = solve_ip(mat, rhs_mat.data[0], w, config)
     doc = {"schema": "ip-solution-v1", "status": out.status}
     if out.status == INFEASIBLE:

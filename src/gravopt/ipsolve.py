@@ -1,13 +1,16 @@
 """Linear integer programming by Graver-basis augmentation.
 
-Phase II is greedy best-augmentation: among all improving basis elements
-take the one with the largest step-times-gain, deterministically.  An
-improving nonnegative element certifies unboundedness.  Phase I finds a
-feasible point from an unconstrained lattice solution by maximizing the
-separable concave penalty sum_j min(x_j, 0) with the same basis; the
-penalty is integer-valued and bounded above by zero, so augmentation
-terminates, and conformal decomposability of any coset difference makes
-a local optimum global.
+Both phases run one greedy loop, `_best_steps`: one integer score per
+candidate in canonical basis order, a step along the first largest
+positive score, then re-scores of only the candidates that read a moved
+coordinate.  The phases differ only in the candidates, what each score
+reads, and the score.  Phase II: the improving elements, read at their
+negative entries, scored lam*(w.g) at the longest feasible step lam; an
+improving nonnegative element certifies unboundedness.  Phase I, from a
+lattice solution: every element, read on its support, scored by its best
+gain in the penalty sum_j min(x_j, 0).  The penalty is concave, integer
+and at most zero, so augmentation terminates, and conformal
+decomposability of coset differences makes a local optimum global.
 """
 
 from __future__ import annotations
@@ -53,17 +56,22 @@ class SolveOutcome:
         return self.status == OPTIMAL
 
 
-def _max_step_neg(x: Sequence[int], neg) -> int:
-    """Largest lam >= 0 with x + lam*g >= 0, given the (index, decrement)
-    pairs of g's negative entries (nonempty)."""
-    lam = None
-    for j, m in neg:
-        cap = x[j] // m
-        if lam is None or cap < lam:
-            lam = cap
-            if lam == 0:
-                break
-    return lam
+def _best_steps(x: list, supports, reads, score):
+    """The greedy loop of both phases (module docstring), over the list x.
+    score(i) reads x only at the indices of the pairs `reads[i]`; for each
+    yielded (i, score) the caller moves x along `supports[i]`."""
+    scores = [score(i) for i in range(len(supports))]
+    readers: list = [[] for _ in x]
+    for i, pairs in enumerate(reads):
+        for j, _ in pairs:
+            readers[j].append(i)
+    while True:
+        best = max(range(len(scores)), key=scores.__getitem__, default=None)
+        if best is None or scores[best] <= 0:
+            return
+        yield best, scores[best]
+        for i in {i for j, _ in supports[best] for i in readers[j]}:
+            scores[i] = score(i)
 
 
 def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
@@ -78,7 +86,7 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
     x = list(x0)
     if len(w) != len(x):
         raise DimensionMismatchError("objective length != point length")
-    gains = []
+    supps, wgs, negs = [], [], []
     for g, supp in zip(basis.elements, basis.supports):
         wg = sum(w[j] * a for j, a in supp)
         if wg <= 0:
@@ -86,33 +94,29 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
         neg = [(j, -a) for j, a in supp if a < 0]
         if not neg:
             return SolveOutcome.unbounded(g)
-        gains.append((supp, wg, neg))
-    # a step moves x only on its support, so only the elements with a
-    # negative entry there change their step length
-    blocked_by: list = [[] for _ in x]
-    for i, (_, _, neg) in enumerate(gains):
-        for j, _ in neg:
-            blocked_by[j].append(i)
-    scores = [_max_step_neg(x, neg) * wg for _, wg, neg in gains]
-    while True:
-        # the first element in canonical order among the best scores
-        best = max(range(len(scores)), key=scores.__getitem__, default=None)
-        if best is None or scores[best] <= 0:
-            return SolveOutcome.optimal(tuple(x), dot(w, x))
-        supp, wg, _ = gains[best]
-        lam = scores[best] // wg
-        for j, a in supp:
+        supps.append(supp)
+        wgs.append(wg)
+        negs.append(neg)
+
+    def step_gain(i):
+        # lam*(w.g) at the largest lam >= 0 with x + lam*g >= 0
+        lam = None
+        for j, m in negs[i]:
+            cap = x[j] // m
+            if lam is None or cap < lam:
+                lam = cap
+                if lam == 0:
+                    break
+        return lam * wgs[i]
+
+    for i, gain in _best_steps(x, supps, negs, step_gain):
+        lam = gain // wgs[i]
+        for j, a in supps[i]:
             x[j] += lam * a
         if min(x) < 0:
             raise InternalInconsistencyError(
                 "augmentation left the nonnegative orthant")
-        for i in {i for j, _ in supp for i in blocked_by[j]}:
-            _, wg, neg = gains[i]
-            scores[i] = _max_step_neg(x, neg) * wg
-
-
-def _negpart(x: Sequence[int]) -> int:
-    return sum(a for a in x if a < 0)
+    return SolveOutcome.optimal(tuple(x), dot(w, x))
 
 
 def _best_negpart_step(x: Sequence[int], supp):
@@ -124,6 +128,9 @@ def _best_negpart_step(x: Sequence[int], supp):
     neighbors of every kink.  Returns (lam, gain) with gain maximal and
     lam smallest among maximizers, or (0, 0) when nothing improves.
     """
+    # only a positive entry at a negative coordinate can gain
+    if not any(a > 0 and x[j] < 0 for j, a in supp):
+        return 0, 0
     candidates = {1}
     for j, a in supp:
         q, rem = divmod(-x[j], a)
@@ -144,19 +151,11 @@ def drive_nonnegative(x0: Sequence[int], basis: GraverBasis) -> tuple:
     best augmentation.  Returns the final point; nonnegative iff the
     coset meets the nonnegative orthant."""
     x = list(x0)
-    while _negpart(x) < 0:
-        best = None  # (gain, order, supp, lam)
-        for order, supp in enumerate(basis.supports):
-            # only a positive entry at a negative coordinate can gain
-            if not any(a > 0 and x[j] < 0 for j, a in supp):
-                continue
-            lam, gain = _best_negpart_step(x, supp)
-            if gain > 0 and (best is None or gain > best[0]):
-                best = (gain, order, supp, lam)
-        if best is None:
-            break
-        _, _, supp, lam = best
-        for j, a in supp:
+    supps = basis.supports
+    for i, _ in _best_steps(
+            x, supps, supps, lambda i: _best_negpart_step(x, supps[i])[1]):
+        lam, _ = _best_negpart_step(x, supps[i])
+        for j, a in supps[i]:
             x[j] += lam * a
     return tuple(x)
 
@@ -181,11 +180,11 @@ def find_feasible(stencil: NFoldStencil, n: int, b: NFoldRhs,
 
 
 def solve_nfold_ip(stencil: NFoldStencil, n: int, w: Sequence[int],
-                   b: NFoldRhs, config: RunConfig = DEFAULT_CONFIG,
-                   basis: Optional[GraverBasis] = None) -> SolveOutcome:
+                   b: NFoldRhs,
+                   config: RunConfig = DEFAULT_CONFIG) -> SolveOutcome:
     """The linear integer programming oracle for n-fold systems."""
-    if basis is None:
-        basis = nfold_graver(stencil, n, config)
+    _check_objective(w, n * stencil.t)
+    basis = nfold_graver(stencil, n, config)
     feas = find_feasible(stencil, n, b, config, basis=basis)
     if not feas.is_optimal:
         return feas
@@ -196,6 +195,7 @@ def solve_ip(A: IntMat, b: Sequence[int], w: Sequence[int],
              config: RunConfig = DEFAULT_CONFIG) -> SolveOutcome:
     """Generic path: augmentation with a directly computed basis of A.
     Correct at desk scale; carries no polynomiality claim."""
+    _check_objective(w, A.cols)
     x = solve_integer(A, tuple(b))
     if x is None:
         return SolveOutcome.infeasible()
@@ -204,3 +204,9 @@ def solve_ip(A: IntMat, b: Sequence[int], w: Sequence[int],
     if min(x, default=0) < 0:
         return SolveOutcome.infeasible()
     return augment_to_optimum(x, basis, w)
+
+
+def _check_objective(w: Sequence[int], cols: int) -> None:
+    if len(w) != cols:
+        raise DimensionMismatchError(
+            f"objective of length {len(w)}, system has {cols} variables")

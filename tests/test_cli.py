@@ -123,6 +123,22 @@ def test_solve_ip_matrix_unbounded(files, capsys):
     assert doc["status"] == "unbounded" and doc["certificate"] == [1, 1]
 
 
+def test_solve_ip_matrix_checks_the_objective_length(files, monkeypatch,
+                                                     capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved with a malformed objective")
+
+    monkeypatch.setattr(cli, "solve_ip", solve)
+    mat = files("m.mat", "1 2\n1 1\n")
+    obj = files("o.mat", "1 3\n1 2 3\n")
+    for b in ("-1", "3"):
+        rhs = files("b.mat", f"1 1\n{b}\n")
+        assert dispatch(["solve-ip", "--matrix", mat, "--rhs", rhs,
+                         "--obj", obj]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: objective length != column count\n")
+
+
 def test_solve_convex_subcommand(files, capsys):
     stencil = files("st.txt", "1 0 2\n1 2\n1 1\n0 2\n")
     rhs = files("rhs.txt", "1 0 1\n3\n")

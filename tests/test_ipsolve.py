@@ -2,14 +2,17 @@ import random
 
 import pytest
 
+from gravopt import ipsolve
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
-from gravopt.errors import InternalInconsistencyError
+from gravopt.errors import (DimensionMismatchError,
+                            InternalInconsistencyError)
 from gravopt.graver import graver_basis
-from gravopt.intlinalg import IntMat, dot, mat_vec
+from gravopt.intlinalg import IntMat, dot, mat_vec, solve_integer
 from gravopt.ipsolve import (INFEASIBLE, OPTIMAL, UNBOUNDED,
                              augment_to_optimum, drive_nonnegative,
                              find_feasible, solve_ip, solve_nfold_ip)
-from gravopt.nfold import NFoldRhs, NFoldStencil, nfold_matrix
+from gravopt.nfold import (NFoldRhs, NFoldStencil, nfold_graver,
+                           nfold_matrix)
 
 
 def _random_bounded_stencil(rng: random.Random) -> NFoldStencil:
@@ -101,7 +104,8 @@ def _rescan_phase2(x, basis, w):
 
 def test_greedy_steps_match_a_full_rescan():
     # both phases pick the same step as a full rescan, ties included, on
-    # 2x2xn transport fibers (bounded, so every query is optimal)
+    # 2x2xn transport fibers (bounded, so every query is optimal); phase I
+    # also starts from the lattice point that find_feasible hands it
     rng = random.Random(61)
     stencil = NFoldStencil(IntMat.identity(4),
                            IntMat(2, 4, ((1, 1, 0, 0), (1, 0, 1, 0))))
@@ -112,13 +116,30 @@ def test_greedy_steps_match_a_full_rescan():
             x0 = tuple(rng.randint(0, 3) for _ in range(4 * n))
             start = tuple(a + b for a, b in zip(
                 x0, rng.choice(basis.elements)))
-            assert drive_nonnegative(start, basis) == \
-                _rescan_phase1(start, basis)
+            lattice = solve_integer(A, mat_vec(A, x0))
+            for x in (start, lattice):
+                assert drive_nonnegative(x, basis) == \
+                    _rescan_phase1(x, basis)
             for _ in range(5):
                 w = tuple(rng.randint(-2, 2) for _ in range(4 * n))
                 out = augment_to_optimum(x0, basis, w)
                 assert out.x == _rescan_phase2(x0, basis, w)
                 assert mat_vec(A, out.x) == mat_vec(A, x0)
+    # longer phase I runs from the lattice point at larger n
+    for n in (8, 10, 12):
+        basis = nfold_graver(stencil, n)
+        A = nfold_matrix(stencil, n)
+        x0 = tuple(rng.randint(0, 3) for _ in range(4 * n))
+        lattice = solve_integer(A, mat_vec(A, x0))
+        assert drive_nonnegative(lattice, basis) == \
+            _rescan_phase1(lattice, basis)
+    # cosets of x_1 + ... + x_6 = b, often with b < 0: phase I stops at a
+    # negative point there, and a missed re-score moves that point (on the
+    # transport fibers above it does not)
+    basis = graver_basis(IntMat(1, 6, ((1,) * 6,)))
+    for _ in range(40):
+        start = tuple(rng.randint(-5, 5) for _ in range(6))
+        assert drive_nonnegative(start, basis) == _rescan_phase1(start, basis)
 
 
 def test_drive_nonnegative_reaches_feasibility():
@@ -196,6 +217,22 @@ def test_generic_solve_ip_path():
     assert out.status == INFEASIBLE
     out = solve_ip(IntMat(1, 2, ((1, -1),)), (0,), (1, 1))
     assert out.status == UNBOUNDED
+
+
+def test_objective_length_is_checked_before_solving(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved with a malformed objective")
+
+    for name in ("solve_integer", "graver_basis", "nfold_graver"):
+        monkeypatch.setattr(ipsolve, name, solve)
+    # an infeasible rhs, then a feasible one: neither is looked at
+    for b in ((-1,), (3,)):
+        with pytest.raises(DimensionMismatchError):
+            solve_ip(IntMat(1, 2, ((1, 1),)), b, (1, 2, 3))
+    stencil = NFoldStencil(IntMat(1, 2, ((1, 1),)), IntMat(1, 2, ((1, 0),)))
+    rhs = NFoldRhs.make((3,), [(1,), (1,)])
+    with pytest.raises(DimensionMismatchError):
+        solve_nfold_ip(stencil, 2, (1, 2, 3), rhs)
 
 
 def test_packing_slack_reward_example():
