@@ -5,14 +5,17 @@ vectors in ker(A).  It is computed by a Pottier-style normal-form
 completion: seed with the signed lattice kernel basis, close under pair
 sums reduced to conformal normal form, then filter to minimal elements.
 The test oracle, a brute-force box enumeration of the same set, is
-`bruteforce.brute_force_graver`.
+`bruteforce.brute_force_graver`.  A basis also carries, once phase II
+first asks for it, an int64 view of itself (`GraverBasis.int64_view`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, ResourceLimitError
@@ -29,6 +32,57 @@ def conformal_leq(u: Sequence[int], v: Sequence[int]) -> bool:
         if a * b < 0 or abs(a) > abs(b):
             return False
     return True
+
+
+# phase II keeps every int64 product below this bound (ipsolve's guards)
+INT64_BOUND = 1 << 62
+
+
+class Int64View(NamedTuple):
+    """A basis as int64 arrays, for phase II (`ipsolve.augment_to_optimum`).
+
+    Element i's support is cols/vals[starts[i]:starts[i + 1]].  Row i of
+    neg_cols/neg_mags holds its negative entries as (column, -value),
+    padded to the longest such list with (n, 1): column n is a sentinel
+    coordinate that phase II sets above every real step length.
+    readers[j] lists the elements with a negative entry at coordinate j,
+    and nonneg the elements with none, in canonical order.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray
+    neg_cols: np.ndarray
+    neg_mags: np.ndarray
+    readers: tuple
+    nonneg: tuple
+    max_l1: int
+
+
+def _int64_view(supports: tuple, n: int) -> Optional[Int64View]:
+    if not supports:
+        return None
+    max_l1 = max(sum(abs(a) for _, a in s) for s in supports)
+    if max_l1 >= INT64_BOUND:
+        return None
+    negs = [[(j, -a) for j, a in s if a < 0] for s in supports]
+    k = max(1, max(map(len, negs)))
+    readers: list = [[] for _ in range(n)]
+    for i, neg in enumerate(negs):
+        for j, _ in neg:
+            readers[j].append(i)
+    pad = [(n, 1)] * k
+    return Int64View(
+        cols=np.array([j for s in supports for j, _ in s], dtype=np.int64),
+        vals=np.array([a for s in supports for _, a in s], dtype=np.int64),
+        starts=np.cumsum([0] + [len(s) for s in supports], dtype=np.int64),
+        neg_cols=np.array([[j for j, _ in (neg + pad)[:k]] for neg in negs],
+                          dtype=np.int64),
+        neg_mags=np.array([[m for _, m in (neg + pad)[:k]] for neg in negs],
+                          dtype=np.int64),
+        readers=tuple(np.array(r, dtype=np.intp) for r in readers),
+        nonneg=tuple(i for i, neg in enumerate(negs) if not neg),
+        max_l1=max_l1)
 
 
 def _first_nonzero_positive(v: Sequence[int]) -> bool:
@@ -74,6 +128,12 @@ class GraverBasis:
         over these instead of the full vectors."""
         return tuple(tuple((j, a) for j, a in enumerate(g) if a)
                      for g in self.elements)
+
+    @functools.cached_property
+    def int64_view(self) -> Optional[Int64View]:
+        """The basis as int64 arrays, built on the first phase-II query;
+        None when it is empty or a 1-norm reaches INT64_BOUND."""
+        return _int64_view(self.supports, self.n)
 
 
 def _normal_form(v: IntVec, basis: list) -> IntVec:

@@ -11,6 +11,19 @@ lattice solution: every element, read on its support, scored by its best
 gain in the penalty sum_j min(x_j, 0).  The penalty is concave, integer
 and at most zero, so augmentation terminates, and conformal
 decomposability of coset differences makes a local optimum global.
+
+Phase II normally runs the same greedy on the basis's int64 view
+(`GraverBasis.int64_view`, built on the first query and kept on the
+basis): w.g for every element is one `np.add.reduceat` over the supports,
+the scores lam*max(w.g, 0) live in one array, `argmax` takes the first
+maximum (the canonical-order tie-break), steps are applied in Python
+ints, and only the elements with a negative entry on the step's support
+are re-scored.  Every int64 product stays below 2^62: the query needs
+max|w| * max|g|_1 and max(x0) * max(w.g) below it, and every coordinate a
+step writes must keep x_j * max(w.g) below it.  A negative entry in x0,
+or a guard that fails before or during the query, sends the query to the
+exact loop from x0; the greedy is deterministic, so the outcome is the
+same.
 """
 
 from __future__ import annotations
@@ -18,9 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .graver import GraverBasis, graver_basis
+from .graver import INT64_BOUND, GraverBasis, Int64View, graver_basis
 from .intlinalg import IntMat, dot, solve_integer
 from .nfold import NFoldRhs, NFoldStencil, nfold_graver, nfold_matrix
 
@@ -81,11 +96,61 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
     Each step picks, among improving basis elements, the pair (g, lam)
     maximizing lam*(w.g), ties broken by canonical basis order; a
     nonnegative improving element is returned as an unboundedness
-    certificate instead.
+    certificate instead.  Runs on the basis's int64 view when the guards
+    of the module docstring hold, and on the exact loop otherwise.
     """
-    x = list(x0)
-    if len(w) != len(x):
+    if len(w) != len(x0):
         raise DimensionMismatchError("objective length != point length")
+    view = basis.int64_view
+    if (view is None or len(x0) != basis.n or min(x0) < 0
+            or max(map(abs, w)) * view.max_l1 >= INT64_BOUND):
+        return _augment_exact(x0, basis, w)
+    out = _augment_int64(x0, basis, view, w)
+    return _augment_exact(x0, basis, w) if out is None else out
+
+
+def _augment_int64(x0: Sequence[int], basis: GraverBasis, view: Int64View,
+                   w: Sequence[int]) -> Optional[SolveOutcome]:
+    """Phase II on the int64 view; None as soon as a guard fails."""
+    wg = np.add.reduceat(np.array(w, dtype=np.int64)[view.cols] * view.vals,
+                         view.starts[:-1])
+    for i in view.nonneg:
+        if wg[i] > 0:
+            return SolveOutcome.unbounded(basis.elements[i])
+    top = int(wg.max())
+    if top <= 0:
+        return SolveOutcome.optimal(x0, dot(w, x0))
+    limit = (INT64_BOUND - 1) // top  # x_j <= limit: x_j * (w.g) < 2^62
+    x = list(x0)
+    if max(x) > limit:
+        return None
+    xa = np.array(x + [INT64_BOUND], dtype=np.int64)  # sentinel column n
+    wg_pos = np.maximum(wg, 0)
+    scores = (xa[view.neg_cols] // view.neg_mags).min(axis=1) * wg_pos
+    supports, readers = basis.supports, view.readers
+    while True:
+        best = int(scores.argmax())  # the first maximum: canonical order
+        gain = scores.item(best)
+        if gain <= 0:
+            return SolveOutcome.optimal(x, dot(w, x))
+        lam = gain // wg.item(best)
+        for j, a in supports[best]:
+            v = x[j] + lam * a
+            if v < 0:
+                raise InternalInconsistencyError(
+                    "augmentation left the nonnegative orthant")
+            if v > limit:
+                return None
+            x[j] = xa[j] = v
+        rows = np.concatenate([readers[j] for j, _ in supports[best]])
+        scores[rows] = (xa[view.neg_cols[rows]] // view.neg_mags[rows]
+                        ).min(axis=1) * wg_pos[rows]
+
+
+def _augment_exact(x0: Sequence[int], basis: GraverBasis,
+                   w: Sequence[int]) -> SolveOutcome:
+    """Phase II on Python ints, through `_best_steps`."""
+    x = list(x0)
     supps, wgs, negs = [], [], []
     for g, supp in zip(basis.elements, basis.supports):
         wg = sum(w[j] * a for j, a in supp)

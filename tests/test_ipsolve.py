@@ -2,13 +2,17 @@ import random
 
 import pytest
 
-from gravopt import ipsolve
+from conftest import random_matrix
+from gravopt import cli, convexopt, graver, ipsolve
+from gravopt.apps import build_threeway
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
+from gravopt.convexopt import (MaxLinearObjective, SquaredNormObjective,
+                               solve_convex_nfold)
 from gravopt.errors import (DimensionMismatchError,
                             InternalInconsistencyError)
-from gravopt.graver import graver_basis
+from gravopt.graver import INT64_BOUND, GraverBasis, graver_basis
 from gravopt.intlinalg import IntMat, dot, mat_vec, solve_integer
-from gravopt.ipsolve import (INFEASIBLE, OPTIMAL, UNBOUNDED,
+from gravopt.ipsolve import (INFEASIBLE, OPTIMAL, UNBOUNDED, SolveOutcome,
                              augment_to_optimum, drive_nonnegative,
                              find_feasible, solve_ip, solve_nfold_ip)
 from gravopt.nfold import (NFoldRhs, NFoldStencil, nfold_graver,
@@ -140,6 +144,142 @@ def test_greedy_steps_match_a_full_rescan():
     for _ in range(40):
         start = tuple(rng.randint(-5, 5) for _ in range(6))
         assert drive_nonnegative(start, basis) == _rescan_phase1(start, basis)
+
+
+TRANSPORT_FIBER = NFoldStencil(IntMat.identity(4),
+                               IntMat(2, 4, ((1, 1, 0, 0), (1, 0, 1, 0))))
+
+
+def _transport_2x2(rng, n, d):
+    """A feasible 2x2xn line-sum instance with d weight arrays."""
+    tab = [[[rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
+           for _ in range(2)]
+    u = [[sum(tab[i][j]) for j in range(2)] for i in range(2)]
+    v = [[tab[i][0][k] + tab[i][1][k] for k in range(n)] for i in range(2)]
+    z = [[tab[0][j][k] + tab[1][j][k] for k in range(n)] for j in range(2)]
+    stencil, rhs, codec = build_threeway(2, 2, n, u, v, z)
+    arrays = [[[[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
+               for _ in range(2)] for _ in range(d)]
+    return stencil, rhs, codec.encode_weights(arrays)
+
+
+def _assert_paths_agree(x0, basis, w):
+    out = augment_to_optimum(x0, basis, w)
+    assert out == ipsolve._augment_exact(x0, basis, w), (x0, w)
+    return out
+
+
+def test_int64_and_exact_paths_agree():
+    rng = random.Random(71)
+    # random systems: elements with differing numbers of negative entries
+    # (so padded rows of the view), unbounded fibers among them
+    statuses, padded = set(), 0
+    for _ in range(60):
+        basis = graver_basis(random_matrix(rng, max_rows=2, max_cols=5))
+        counts = {sum(1 for a in g if a < 0) for g in basis.elements}
+        padded += len(counts) > 1
+        for _ in range(8):
+            x0 = tuple(rng.randint(0, 4) for _ in range(basis.n))
+            w = tuple(rng.randint(-3, 3) for _ in range(basis.n))
+            statuses.add(_assert_paths_agree(x0, basis, w).status)
+    assert statuses == {OPTIMAL, UNBOUNDED} and padded >= 20
+    # 2x2xn transport fibers
+    for n in range(1, 9):
+        basis = nfold_graver(TRANSPORT_FIBER, n)
+        for _ in range(10):
+            x0 = tuple(rng.randint(0, 3) for _ in range(4 * n))
+            w = tuple(rng.randint(-2, 2) for _ in range(4 * n))
+            _assert_paths_agree(x0, basis, w)
+
+
+def test_int64_and_exact_paths_agree_on_every_vertex_query(monkeypatch):
+    calls = []
+
+    def both(x0, basis, w):
+        calls.append(w)
+        return _assert_paths_agree(x0, basis, w)
+
+    monkeypatch.setattr(convexopt, "augment_to_optimum", both)
+    stencil, rhs, weights = _transport_2x2(random.Random(1010), 8, 3)
+    maxlin = MaxLinearObjective(((1, -1, 0), (0, 2, 1)))
+    for objective in (SquaredNormObjective(), maxlin):
+        calls.clear()
+        out = solve_convex_nfold(stencil, 8, weights, rhs, objective)
+        assert out.status == OPTIMAL
+        assert len(calls) == out.stats.oracle_queries > 500
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args):
+        out = fn(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_int64_guards_fall_back_to_the_exact_loop(monkeypatch):
+    fast = _spy(monkeypatch, ipsolve, "_augment_int64")
+    exact = _spy(monkeypatch, ipsolve, "_augment_exact")
+    # x1 + x2 = b: max |g|_1 = 2, and w = (1, 0) gives max w.g = 1, so
+    # x0 may reach 2^62 - 1 on the int64 path
+    segment = graver_basis(IntMat(1, 2, ((1, 1),)))
+    top = INT64_BOUND - 1
+    out = augment_to_optimum((0, top), segment, (1, 0))
+    assert out.x == (top, 0) and out.value == top
+    assert len(fast) == 1 and fast[0] == out and not exact
+    # an entry of x0 past the bound, then a weight past 2^62 / max |g|_1
+    for x0, w in (((0, INT64_BOUND), (1, 0)),
+                  ((0, 3), (INT64_BOUND // 2, 0))):
+        fast.clear()
+        exact.clear()
+        out = augment_to_optimum(x0, segment, w)
+        assert out.x == (x0[1], 0) and out.value == x0[1] * w[0]
+        assert fast in ([], [None]) and exact == [out]
+    # x1 + 2 x2 = b: the step along (2, -1) doubles the largest entry, so
+    # the guard passes before the query and trips after its first step
+    line = graver_basis(IntMat(1, 2, ((1, 2),)))
+    k = INT64_BOUND // 3
+    assert k * 2 < INT64_BOUND <= 2 * k * 2
+    fast.clear()
+    exact.clear()
+    out = augment_to_optimum((0, k), line, (1, 0))
+    assert out == SolveOutcome.optimal((2 * k, 0), 2 * k)
+    assert fast == [None] and exact == [out]
+    # x0 with a negative entry takes the exact loop
+    fast.clear()
+    basis = graver_basis(IntMat(1, 3, ((1, 1, 0),)))
+    with pytest.raises(InternalInconsistencyError):
+        augment_to_optimum((0, 2, -1), basis, (1, 0, 0))
+    assert not fast
+
+
+def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
+    builds = _spy(monkeypatch, graver, "_int64_view")
+    bases = _spy(monkeypatch, convexopt, "nfold_graver")
+    stencil, rhs, weights = _transport_2x2(random.Random(5), 8, 2)
+    out = solve_convex_nfold(stencil, 8, weights, rhs, SquaredNormObjective())
+    basis, = bases
+    assert out.stats.oracle_queries > 10 and len(builds) == 1
+    assert basis.__dict__["int64_view"] is builds[0]
+    # equality and hashing ignore the view
+    bare = GraverBasis(basis.elements, basis.source)
+    assert bare == basis and hash(bare) == hash(basis)
+    assert "int64_view" not in bare.__dict__
+    # neither nfold_graver nor the nfold-graver command builds it
+    builds.clear()
+    assert "int64_view" not in nfold_graver(stencil, 10).__dict__
+    printed = _spy(monkeypatch, cli, "nfold_graver")
+    path = tmp_path / "st.txt"
+    path.write_text("1 0 1\n1 1\n1\n0 1\n")
+    assert cli.dispatch(["nfold-graver", "--stencil", str(path), "--n", "8",
+                         "--output", str(tmp_path / "out.txt")]) == 0
+    assert len(printed) == 1 and "int64_view" not in printed[0].__dict__
+    assert not builds
 
 
 def test_drive_nonnegative_reaches_feasibility():
