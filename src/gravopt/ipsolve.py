@@ -101,8 +101,11 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
     """
     if len(w) != len(x0):
         raise DimensionMismatchError("objective length != point length")
+    if len(x0) != basis.n:
+        raise DimensionMismatchError(
+            f"point of length {len(x0)}, basis has {basis.n} columns")
     view = basis.int64_view
-    if (view is None or len(x0) != basis.n or min(x0) < 0
+    if (view is None or min(x0) < 0
             or max(map(abs, w)) * view.max_l1 >= INT64_BOUND):
         return _augment_exact(x0, basis, w)
     out = _augment_int64(x0, basis, view, w)

@@ -179,24 +179,16 @@ _DIRECT_LAYERS = 6
 
 
 def nfold_graver(stencil: NFoldStencil, n: int,
-                 config: RunConfig = DEFAULT_CONFIG,
-                 force_lift: bool = False) -> GraverBasis:
+                 config: RunConfig = DEFAULT_CONFIG) -> GraverBasis:
     """Graver basis of nfold_matrix(stencil, n).
 
     Direct completion for few layers and up to the stencil's Graver
-    complexity g, lifting from level g beyond that.  `force_lift`
-    exercises the lifting path even for small n (used by the consistency
-    checks); it requires n >= g.
+    complexity g, lifting from level g beyond that.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n <= _DIRECT_LAYERS and not force_lift:
+    if n <= _DIRECT_LAYERS or n <= (g := graver_complexity(stencil, config)):
         return _cached_graver(nfold_matrix(stencil, n), config.basis_cap)
-    g = graver_complexity(stencil, config)
-    if n <= g and not force_lift:
-        return _cached_graver(nfold_matrix(stencil, n), config.basis_cap)
-    if force_lift and n < g:
-        raise ValueError(f"cannot force lifting below the complexity level {g}")
     base = _cached_graver(nfold_matrix(stencil, g), config.basis_cap)
     lifted = _lift_basis(base, g, n, stencil.t, config)
     if len(lifted) > config.basis_cap:

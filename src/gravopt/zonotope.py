@@ -30,8 +30,10 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (DimensionMismatchError, InternalInconsistencyError,
                      ResourceLimitError)
 from .intlinalg import IntMat, _column_echelon, dot, lattice_kernel_basis
-# not called here: bound only because perfbench/spans.py wraps this name
-from .ratlp import find_interior_direction  # noqa: F401
+
+# never called: bound only because perfbench/spans.py wraps this name; it
+# goes when a benchmark change drops the `ratlp.probe` row (ROADMAP item 1)
+find_interior_direction = None
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 
+from gravopt import nfold
+from gravopt.config import DEFAULT_CONFIG
 from gravopt.errors import DimensionMismatchError, InternalInconsistencyError
 from gravopt.graver import GraverBasis, conformal_leq
 from gravopt.intlinalg import IntMat, vec_sub
@@ -139,6 +141,15 @@ def enumerate_nfold(stencil, rhs, layer_bounds) -> list:
             out.append(tuple(a for brick in combo for a in brick))
     out.sort()
     return out
+
+
+def lifted_basis(stencil, n) -> list:
+    """The elements of the basis of nfold_matrix(stencil, n) lifted from
+    the level-g basis, g the stencil's Graver complexity, for any n >= g:
+    `nfold_graver` itself lifts only beyond max(g, 6) layers."""
+    g = nfold.graver_complexity(stencil)
+    return nfold._lift_basis(nfold.nfold_graver(stencil, g), g, n,
+                             stencil.t, DEFAULT_CONFIG)
 
 
 def cross3(u, v) -> tuple:

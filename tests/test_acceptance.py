@@ -7,7 +7,7 @@ import random
 import time
 
 from conftest import (enumerate_nfold, hull_extreme_points, hull_vertices_2d,
-                      random_matrix)
+                      lifted_basis, random_matrix)
 from gravopt.apps import (PackingInstance, PartitionInstance, build_packing,
                           build_partition, build_threeway, cluster_variance)
 from gravopt.bruteforce import brute_convex_max, brute_force_graver
@@ -17,7 +17,7 @@ from gravopt.graver import graver_basis
 from gravopt.intlinalg import IntMat, dot, mat_vec
 from gravopt.ipsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_nfold_ip
 from gravopt.nfold import (NFoldRhs, NFoldStencil, graver_complexity,
-                           nfold_graver, nfold_matrix, nproduct)
+                           nfold_matrix, nproduct)
 from gravopt.zonotope import zonotope_vertices
 
 TRANSPORT_2x2 = NFoldStencil(
@@ -113,7 +113,7 @@ def test_criterion_04_stabilization_consistency(capsys):
     for st in stencils:
         g = graver_complexity(st)
         for n in range(max(g, 1), g + 3):
-            lifted = nfold_graver(st, n, force_lift=True)
+            lifted = lifted_basis(st, n)
             direct = graver_basis(nfold_matrix(st, n))
             checked += 1
             if set(lifted) == set(direct):

@@ -37,6 +37,19 @@ def test_augmentation_checks_the_orthant_without_assert():
         augment_to_optimum((0, 2, -1), basis, (1, 0, 0))
 
 
+def test_augmentation_rejects_a_point_of_the_wrong_length(monkeypatch):
+    def loop(*args):
+        raise AssertionError("augmented a point of the wrong length")
+
+    monkeypatch.setattr(ipsolve, "_augment_int64", loop)
+    monkeypatch.setattr(ipsolve, "_augment_exact", loop)
+    basis = graver_basis(IntMat(1, 2, ((1, 1),)))
+    for x0, w in (((0, 2, 5), (1, 0, 7)), ((2,), (1,))):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"point of length {len(x0)}, basis has 2"):
+            augment_to_optimum(x0, basis, w)
+
+
 def test_augmentation_on_line_segment():
     A = IntMat(1, 2, ((1, 1),))
     basis = graver_basis(A)

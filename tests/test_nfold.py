@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import vstack
+from conftest import lifted_basis, vstack
 from gravopt import nfold
 from gravopt.bruteforce import brute_force_graver
 from gravopt.config import RunConfig
@@ -93,9 +93,14 @@ def test_lifting_matches_direct_completion():
     for st in stencils:
         g = graver_complexity(st)
         for n in range(g, g + 3):
-            lifted = nfold_graver(st, n, force_lift=True)
+            lifted = lifted_basis(st, n)
             direct = graver_basis(nfold_matrix(st, n))
             assert set(lifted) == set(direct), (st, n)
+
+
+def test_force_lift_is_not_an_option():
+    with pytest.raises(TypeError, match="force_lift"):
+        nfold_graver(TRANSPORT_2x2, 3, force_lift=True)
 
 
 def test_layer_permutation_symmetry():

@@ -12,7 +12,6 @@ from gravopt.convexopt import project_directions
 from gravopt.errors import DimensionMismatchError, ResourceLimitError
 from gravopt.intlinalg import dot
 from gravopt.nfold import nfold_graver
-from gravopt.ratlp import find_interior_direction
 from gravopt.zonotope import zonotope_vertices
 
 
@@ -141,26 +140,3 @@ def test_dimension_guard_and_mismatch():
     with pytest.raises(DimensionMismatchError):
         zonotope_vertices([(1, 0)], dim=3)
 
-
-def test_find_interior_direction_soundness():
-    rng = random.Random(31)
-    for _ in range(150):
-        d = rng.randint(1, 4)
-        m = rng.randint(1, 6)
-        rows = [tuple(rng.randint(-3, 3) for _ in range(d))
-                for _ in range(m)]
-        y = find_interior_direction(rows, d)
-        if y is not None:
-            assert all(dot(r, y) >= 1 for r in rows)
-        else:
-            # completeness at desk scale: no witness in a small box either
-            for cand in itertools.product(range(-4, 5), repeat=d):
-                assert not all(dot(r, cand) >= 1 for r in rows)
-
-
-def test_find_interior_direction_exact_on_thin_cones():
-    # nearly opposite constraints still admit an exact integer witness
-    rows = [(1, 1000), (1, -999)]
-    y = find_interior_direction(rows, 2)
-    assert y is not None and all(dot(r, y) >= 1 for r in rows)
-    assert find_interior_direction([(1, 0), (-1, 0)], 2) is None
