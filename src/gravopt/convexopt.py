@@ -6,15 +6,27 @@ certificate back to a linear objective, and asks the linear oracle once
 per vertex.  A convex comparison picks the winner among the projected
 optima; the per-query identity cert.z == lifted.x is asserted on every
 call.
+
+Both maps through W run in int64 when their guards hold, and on exact
+Python ints otherwise, with the same result.  The projection of a Graver
+basis, P = G.W^T, is one `np.add.reduceat` over the basis's int64 view
+(`GraverBasis.int64_view`) when max|W| * max|g|_1 < 2^62; a plain list of
+directions is projected exactly.  The lift h = c^T W of a vertex
+certificate c is one int64 product when |c|_1 * max|W| < 2^62.  Both
+bounds cap every partial sum, so no int64 value overflows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, InternalInconsistencyError
+from .graver import INT64_BOUND, GraverBasis
 from .intlinalg import dot
 from .ipsolve import (INFEASIBLE, UNBOUNDED, augment_to_optimum,
                       find_feasible)
@@ -51,6 +63,18 @@ class ObjectiveWeights:
 
     def project(self, x: Sequence[int]) -> tuple:
         return tuple(dot(w, x) for w in self.rows)
+
+    @functools.cached_property
+    def max_abs(self) -> int:
+        return max((abs(a) for row in self.rows for a in row), default=0)
+
+    @functools.cached_property
+    def int64_rows(self) -> Optional[np.ndarray]:
+        """W as a d x n int64 array; None when an entry reaches
+        INT64_BOUND."""
+        if self.max_abs >= INT64_BOUND:
+            return None
+        return np.array(self.rows, dtype=np.int64)
 
 
 class ConvexObjective:
@@ -137,10 +161,19 @@ class ConvexOutcome:
         return self.status == OPTIMAL_OUTCOME
 
 
-def project_directions(directions: Sequence[Sequence[int]],
+def project_directions(directions: GraverBasis | Sequence[Sequence[int]],
                        weights: ObjectiveWeights) -> list:
     """Projections (w_1.e, .., w_d.e), zero vectors and duplicates
-    removed, sorted for determinism."""
+    removed, sorted for determinism.  `directions` is a sequence of
+    vectors or a GraverBasis; a basis is projected on its int64 view
+    when max|W| * max|g|_1 < INT64_BOUND."""
+    if isinstance(directions, GraverBasis) and directions.n == weights.n:
+        view, W = directions.int64_view, weights.int64_rows
+        if (view is not None and W is not None
+                and weights.max_abs * view.max_l1 < INT64_BOUND):
+            P = np.add.reduceat(W[:, view.cols] * view.vals,
+                                view.starts[:-1], axis=1).T
+            return sorted(set(map(tuple, P[P.any(axis=1)].tolist())))
     seen = set()
     for e in directions:
         p = weights.project(e)
@@ -150,16 +183,22 @@ def project_directions(directions: Sequence[Sequence[int]],
 
 
 def lift_normal(g: Sequence[int], weights: ObjectiveWeights) -> tuple:
-    """The linear form h with h.x == g.(w_1 x, .., w_d x) for every x."""
+    """The linear form h with h.x == g.(w_1 x, .., w_d x) for every x,
+    computed in int64 when |g|_1 * max|W| < INT64_BOUND."""
     if len(g) != weights.d:
         raise DimensionMismatchError("certificate length != objective count")
+    W = weights.int64_rows
+    # max(.., 1): the entries of g must fit in int64 even when W = 0
+    if (W is not None
+            and sum(map(abs, g)) * max(weights.max_abs, 1) < INT64_BOUND):
+        return tuple((np.array(g, dtype=np.int64) @ W).tolist())
     n = weights.n
     return tuple(sum(weights.rows[i][j] * g[i] for i in range(weights.d))
                  for j in range(n))
 
 
 def convex_maximize(lip: Callable, weights: ObjectiveWeights,
-                    directions: Sequence[Sequence[int]],
+                    directions: GraverBasis | Sequence[Sequence[int]],
                     objective: ConvexObjective,
                     config: RunConfig = DEFAULT_CONFIG) -> ConvexOutcome:
     """Reduce the convex program to one linear oracle call per zonotope
@@ -229,4 +268,4 @@ def solve_convex_nfold(stencil: NFoldStencil, n: int,
     def lip(w):
         return augment_to_optimum(x0, basis, w)
 
-    return convex_maximize(lip, weights, basis.elements, objective, config)
+    return convex_maximize(lip, weights, basis, objective, config)

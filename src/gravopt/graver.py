@@ -113,9 +113,6 @@ class GraverBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, v) -> bool:
-        return tuple(v) in set(self.elements)
-
     def canonical_half(self) -> tuple:
         """One representative per +/- pair: first nonzero entry positive,
         lexicographically sorted.  This is the serialization order."""

@@ -1,9 +1,11 @@
-"""Dense arbitrary-precision integer vectors, matrices, and kernel lattices.
+"""Arbitrary-precision integer vectors, matrices, and kernel lattices.
 
 Vectors are plain tuples of Python ints (unbounded precision for free);
-matrices are immutable row-major wrappers.  Everything downstream runs on
-these, so exactness here is non-negotiable.  Storage is dense: target
-instances are small-dimensional per layer.
+matrices are immutable dense row-major wrappers.  Everything downstream
+runs on these, so exactness here is non-negotiable.  The column echelon
+form behind rank, kernel lattices and integer solves works on sparse
+columns: an n-fold matrix has a few nonzeros per column, and its
+transform stays almost as sparse.
 """
 
 from __future__ import annotations
@@ -77,50 +79,76 @@ def mat_vec(A: IntMat, x: Sequence[int]) -> IntVec:
 def _column_echelon(A: IntMat):
     """Bring A into column echelon form by unimodular column operations.
 
-    Returns (E, U, pivots) where E = A·U as lists of column lists,
-    U is the n×n transform (list of column lists), and pivots is a list
-    of (row, col) pairs with strictly increasing rows and contiguous
-    columns 0..rank-1.  Columns rank..n-1 of E are zero, so the matching
-    columns of U are a lattice basis of ker_Z(A).
+    Returns (E, U, pivots) where E = A·U and U, the n×n transform, are
+    lists of sparse columns in position order, each a dict row -> nonzero
+    entry.  pivots is a list of (row, col) pairs with strictly increasing
+    rows and contiguous columns 0..rank-1.  Columns rank..n-1 of E are
+    zero, so the matching columns of U are a lattice basis of ker_Z(A).
+
+    Row r is gcd-eliminated across the active columns p..n-1: while two
+    or more have a nonzero at r, every other one is reduced by the first
+    (in position order) of smallest |entry|.  The survivor moves to
+    position p, its sign is made positive, and it leaves the active set.
+    A row -> active-columns index finds the nonzeros of a row, and a
+    position permutation stands in for physical column swaps, so the
+    work follows the nonzeros; the arithmetic is that of the dense
+    elimination, step for step.
     """
     m, n = A.rows, A.cols
-    cols = [[A.data[i][j] for i in range(m)] for j in range(n)]
-    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    E: list = [{} for _ in range(n)]  # indexed by column id
+    active: list = [set() for _ in range(m)]  # row -> active column ids
+    for i, row in enumerate(A.data):
+        for j, a in enumerate(row):
+            if a:
+                E[j][i] = a
+                active[i].add(j)
+    U: list = [{j: 1} for j in range(n)]
+    order = list(range(n))  # position -> column id
+    pos = list(range(n))  # column id -> position
     pivots = []
     p = 0
     for r in range(m):
         if p >= n:
             break
-        # gcd-eliminate row r across the active columns p..n-1
-        while True:
-            nz = [j for j in range(p, n) if cols[j][r] != 0]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: abs(cols[j][r]))
-            piv = cols[j0][r]
+        nz_ids = active[r]
+        while len(nz_ids) > 1:
+            nz = sorted(nz_ids, key=pos.__getitem__)
+            j0 = min(nz, key=lambda j: abs(E[j][r]))
+            e0, u0 = E[j0], U[j0]
+            piv = e0[r]
             for j in nz:
                 if j == j0:
                     continue
-                q = cols[j][r] // piv
+                q = E[j][r] // piv
                 if q:
-                    cj, cj0 = cols[j], cols[j0]
-                    for i in range(r, m):
-                        cj[i] -= q * cj0[i]
-                    uj, uj0 = U[j], U[j0]
-                    for i in range(n):
-                        uj[i] -= q * uj0[i]
-        nz = [j for j in range(p, n) if cols[j][r] != 0]
-        if nz:
-            j = nz[0]
-            if j != p:
-                cols[p], cols[j] = cols[j], cols[p]
-                U[p], U[j] = U[j], U[p]
-            if cols[p][r] < 0:
-                cols[p] = [-v for v in cols[p]]
-                U[p] = [-v for v in U[p]]
+                    ej, uj = E[j], U[j]
+                    for i, a in e0.items():
+                        v = ej.get(i, 0) - q * a
+                        if v:
+                            ej[i] = v
+                            active[i].add(j)
+                        else:
+                            del ej[i]
+                            active[i].discard(j)
+                    for i, a in u0.items():
+                        v = uj.get(i, 0) - q * a
+                        if v:
+                            uj[i] = v
+                        else:
+                            del uj[i]
+        if nz_ids:
+            (j,) = nz_ids
+            k = order[p]
+            order[p], order[pos[j]] = j, k
+            pos[k], pos[j] = pos[j], p
+            if E[j][r] < 0:
+                E[j] = {i: -a for i, a in E[j].items()}
+                U[j] = {i: -a for i, a in U[j].items()}
+            for i in E[j]:
+                active[i].discard(j)
             pivots.append((r, p))
             p += 1
-    return cols, U, pivots
+    return [E[j] for j in order], [U[j] for j in order], pivots
 
 
 def rank(A: IntMat) -> int:
@@ -135,7 +163,14 @@ def lattice_kernel_basis(A: IntMat) -> list:
     sublattice); the count equals n - rank(A).
     """
     _, U, pivots = _column_echelon(A)
-    return [tuple(U[j]) for j in range(len(pivots), A.cols)]
+    n = A.cols
+    out = []
+    for col in U[len(pivots):]:
+        v = [0] * n
+        for i, a in col.items():
+            v[i] = a
+        out.append(tuple(v))
+    return out
 
 
 def solve_integer(A: IntMat, b: Sequence[int]) -> Optional[IntVec]:
@@ -146,28 +181,26 @@ def solve_integer(A: IntMat, b: Sequence[int]) -> Optional[IntVec]:
     if len(b) != A.rows:
         raise DimensionMismatchError(
             f"matrix has {A.rows} rows, rhs has length {len(b)}")
-    cols, U, pivots = _column_echelon(A)
-    m, n = A.rows, A.cols
+    E, U, pivots = _column_echelon(A)
     residual = list(b)
     coeffs = []
     for r, j in pivots:
-        piv = cols[j][r]
+        col = E[j]
+        piv = col[r]
         if residual[r] % piv != 0:
             return None
         q = residual[r] // piv
         coeffs.append(q)
         if q:
-            cj = cols[j]
-            for i in range(m):
-                residual[i] -= q * cj[i]
+            for i, a in col.items():
+                residual[i] -= q * a
     if any(residual):
         return None
-    x = [0] * n
+    x = [0] * A.cols
     for (r, j), q in zip(pivots, coeffs):
         if q:
-            uj = U[j]
-            for i in range(n):
-                x[i] += q * uj[i]
+            for i, a in U[j].items():
+                x[i] += q * a
     return tuple(x)
 
 

@@ -11,12 +11,13 @@ There, every vertex lies on a facet, and the facet with outer normal
 s*r is the zonotope of the generators orthogonal to r, one dimension
 lower, translated by s times the off-facet sum of sgn(r.e)*e; the cells
 are found by recursing into the facets, down to the two half-lines of
-rank 1.  The facet normals are the integer kernels of the
-(k-1)-subsets of the generators.  Each cell carries an exact integer
-witness direction, which doubles as the separation certificate: a facet
-witness c' lifts to lam*s*r + c', with lam > |c'.e| for every
-generator e, so the generators off the facet keep the facet's side.
-All arithmetic is on integers.
+rank 1.  The facet normals are the signed maximal minors of the
+(k-1)-subsets of the generators, divided by their gcd; a subset of
+lower rank has all minors zero and gives no facet.  Each cell carries
+an exact integer witness direction, which doubles as the separation
+certificate: a facet witness c' lifts to lam*s*r + c', with
+lam > |c'.e| for every generator e, so the generators off the facet
+keep the facet's side.  All arithmetic is on integers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (DimensionMismatchError, InternalInconsistencyError,
                      ResourceLimitError)
-from .intlinalg import IntMat, _column_echelon, dot, lattice_kernel_basis
+from .intlinalg import IntMat, _column_echelon, dot
 
 # never called: bound only because perfbench/spans.py wraps this name; it
 # goes when a benchmark change drops the `ratlp.probe` row (ROADMAP item 1)
@@ -65,6 +66,30 @@ def _independent_subset(vectors: list) -> list:
     pivot rows of the column echelon form."""
     A = IntMat.from_rows(vectors, cols=len(vectors[0]))
     return [vectors[r] for r, _ in _column_echelon(A)[2]]
+
+
+def _minors_normal(rows: Sequence[Sequence[int]]) -> tuple:
+    """The signed maximal minors of k-1 vectors in Z^k: entry j is
+    (-1)^j times the determinant without column j.  The vector is
+    orthogonal to every row (it expands det([row; rows]) = 0), so it
+    spans their kernel when that has rank 1, and it is zero when the
+    kernel has rank 2 or more.  The minors are built by Laplace
+    expansion along the rows, bottom up: dets[S] is the determinant of
+    the last |S| rows restricted to the column set S."""
+    k = len(rows[0])
+    dets = {(): 1}
+    for size, row in enumerate(reversed(rows), 1):
+        expanded = {}
+        for S in combinations(range(k), size):
+            total, sign = 0, 1
+            for t, c in enumerate(S):
+                total += sign * row[c] * dets[S[:t] + S[t + 1:]]
+                sign = -sign
+            expanded[S] = total
+        dets = expanded
+    # combinations() lists the (k-1)-sets by the omitted column, k-1 first
+    return tuple(-m if j & 1 else m
+                 for j, m in enumerate(reversed(dets.values())))
 
 
 def _sgn(a: int) -> int:
@@ -109,9 +134,9 @@ def _cells(reduced: list, vecs: list) -> list:
         return [(v, e), (tuple(-a for a in v), tuple(-a for a in e))]
     normals: dict = {}
     for subset in combinations(reduced, k - 1):
-        kernel = lattice_kernel_basis(IntMat.from_rows(subset, cols=k))
-        if len(kernel) == 1:
-            normals.setdefault(_primitive(kernel[0])[0], None)
+        r = _primitive(_minors_normal(subset))[0]
+        if r is not None:
+            normals.setdefault(r, None)
     bound = max(abs(a) for e in reduced for a in e)
     dim = len(vecs[0])
     cells: dict = {}

@@ -9,7 +9,9 @@ import random
 import numpy as np
 
 from gravopt import nfold
+from gravopt.apps import build_threeway
 from gravopt.config import DEFAULT_CONFIG
+from gravopt.convexopt import MaxLinearObjective
 from gravopt.errors import DimensionMismatchError, InternalInconsistencyError
 from gravopt.graver import GraverBasis, conformal_leq
 from gravopt.intlinalg import IntMat, vec_sub
@@ -62,6 +64,59 @@ def conformal_decompose(g, basis: GraverBasis) -> list:
                 f"no conformal basis element for remainder {remainder}; "
                 "the basis is not complete for its matrix")
     return sorted(parts)
+
+
+def dense_column_echelon(A: IntMat):
+    """Column echelon form on dense column lists: the oracle for
+    `intlinalg._column_echelon`, which does the same column operations on
+    sparse columns.  Returns (E, U, pivots) with E = A·U and U as lists
+    of column lists."""
+    m, n = A.rows, A.cols
+    cols = [[A.data[i][j] for i in range(m)] for j in range(n)]
+    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    pivots = []
+    p = 0
+    for r in range(m):
+        if p >= n:
+            break
+        # gcd-eliminate row r across the active columns p..n-1
+        while True:
+            nz = [j for j in range(p, n) if cols[j][r] != 0]
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: abs(cols[j][r]))
+            piv = cols[j0][r]
+            for j in nz:
+                if j == j0:
+                    continue
+                q = cols[j][r] // piv
+                if q:
+                    cj, cj0 = cols[j], cols[j0]
+                    for i in range(r, m):
+                        cj[i] -= q * cj0[i]
+                    uj, uj0 = U[j], U[j0]
+                    for i in range(n):
+                        uj[i] -= q * uj0[i]
+        nz = [j for j in range(p, n) if cols[j][r] != 0]
+        if nz:
+            j = nz[0]
+            if j != p:
+                cols[p], cols[j] = cols[j], cols[p]
+                U[p], U[j] = U[j], U[p]
+            if cols[p][r] < 0:
+                cols[p] = [-v for v in cols[p]]
+                U[p] = [-v for v in U[p]]
+            pivots.append((r, p))
+            p += 1
+    return cols, U, pivots
+
+
+def densify_echelon(A: IntMat, echelon) -> tuple:
+    """(E, U, pivots) of `intlinalg._column_echelon` with its sparse
+    columns written out as the dense column lists of the oracle."""
+    E, U, pivots = echelon
+    return ([[c.get(i, 0) for i in range(A.rows)] for c in E],
+            [[c.get(i, 0) for i in range(A.cols)] for c in U], pivots)
 
 
 # -- random instances and independent oracles -------------------------------
@@ -141,6 +196,25 @@ def enumerate_nfold(stencil, rhs, layer_bounds) -> list:
             out.append(tuple(a for brick in combo for a in brick))
     out.sort()
     return out
+
+
+def seeded_transport(n, d, seed):
+    """A seeded 2x2xn line-sum table: (stencil, rhs, weights, maxlin),
+    with d weight arrays in [-2, 2] and a random max-of-linear objective
+    on Z^d."""
+    rng = random.Random(seed)
+    tab = [[[rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
+           for _ in range(2)]
+    u = [[sum(tab[i][j]) for j in range(2)] for i in range(2)]
+    v = [[tab[i][0][k] + tab[i][1][k] for k in range(n)] for i in range(2)]
+    z = [[tab[0][j][k] + tab[1][j][k] for k in range(n)] for j in range(2)]
+    stencil, rhs, codec = build_threeway(2, 2, n, u, v, z)
+    arrays = [[[[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
+               for _ in range(2)] for _ in range(d)]
+    maxlin = MaxLinearObjective(tuple(
+        tuple(rng.randint(-2, 2) for _ in range(d))
+        for _ in range(rng.randint(1, 3))))
+    return stencil, rhs, codec.encode_weights(arrays), maxlin
 
 
 def lifted_basis(stencil, n) -> list:

@@ -1,11 +1,13 @@
+import hashlib
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_nfold, hull_edges_2d
+from conftest import enumerate_nfold, hull_edges_2d, seeded_transport
 from gravopt.apps import PartitionInstance, build_partition, build_threeway
 from gravopt.bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
 from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
@@ -15,10 +17,11 @@ from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
                                SquaredNormObjective, convex_maximize,
                                lift_normal, project_directions,
                                solve_convex_nfold)
-from gravopt.graver import graver_basis
+from gravopt.graver import INT64_BOUND, graver_basis
 from gravopt.intlinalg import IntMat, dot, rank
 from gravopt.ipsolve import UNBOUNDED, SolveOutcome, solve_ip
 from gravopt.nfold import NFoldRhs, NFoldStencil, nfold_graver
+from gravopt.zonotope import zonotope_vertices
 
 SEGMENT = IntMat(1, 2, ((1, 1),))  # x1 + x2 = b, the 4-point example
 W_AXES = ObjectiveWeights.make([(1, 0), (0, 1)])
@@ -245,3 +248,86 @@ def test_weights_validation():
         ObjectiveWeights.make([])
     with pytest.raises(Exception):
         ObjectiveWeights.make([(1, 0), (1,)])
+
+
+def test_transport_outputs_are_pinned():
+    # the returned x depends on the lattice point, phase I and the order
+    # of the vertex queries, so (status, x, z, stats) is pinned byte for
+    # byte on seeded transport instances
+    outs = []
+    for n, d in ((8, 2), (12, 2), (16, 2), (8, 3)):
+        stencil, rhs, weights, maxlin = seeded_transport(n, d, 4000 + n + d)
+        for objective in (SquaredNormObjective(), maxlin):
+            out = solve_convex_nfold(stencil, n, weights, rhs, objective)
+            outs.append((out.status, out.x, out.z, out.stats))
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == (
+        "2e58b66936032279cef725a1eeebcd5644d43b1bd379df4b21a9e25d055007e3")
+
+
+def _exact_projection(elements, weights):
+    return sorted({p for p in (tuple(dot(w, e) for w in weights.rows)
+                               for e in elements) if any(p)})
+
+
+def _exact_lift(c, weights):
+    return tuple(sum(ci * w[j] for ci, w in zip(c, weights.rows))
+                 for j in range(weights.n))
+
+
+def _zeroed_int64_copy(weights):
+    """The same weights with their int64 copy of W set to zeros, so any
+    answer read from the int64 path gives itself away."""
+    w = ObjectiveWeights(weights.rows)
+    w.__dict__["int64_rows"] = np.zeros((w.d, w.n), dtype=np.int64)
+    return w
+
+
+def test_projection_and_lift_run_in_int64_on_transport():
+    stencil, _rhs, weights, _maxlin = seeded_transport(8, 3, 4011)
+    basis = nfold_graver(stencil, 8)
+    D = project_directions(basis, weights)
+    assert len(D) == 56
+    assert D == project_directions(list(basis.elements), weights)
+    assert D == _exact_projection(basis.elements, weights)
+    zeroed = _zeroed_int64_copy(weights)
+    assert project_directions(basis, zeroed) == []  # the int64 path ran
+    for vert in zonotope_vertices(D, dim=3):
+        c = vert.certificate
+        assert lift_normal(c, weights) == _exact_lift(c, weights)
+        assert lift_normal(c, zeroed) == (0,) * weights.n
+
+
+def test_projection_guard_sends_large_weights_to_the_exact_path():
+    basis = graver_basis(IntMat(1, 2, ((1, 1),)))  # max |g|_1 = 2
+    for top, int64 in ((INT64_BOUND // 2 - 1, True),
+                       (INT64_BOUND // 2, False), (2 ** 70, False)):
+        weights = ObjectiveWeights.make([(top, 3), (-5, top - 7)])
+        D = _exact_projection(basis.elements, weights)
+        assert project_directions(basis, weights) == D
+        assert project_directions(list(basis.elements), weights) == D
+        if weights.int64_rows is not None:
+            zeroed = _zeroed_int64_copy(weights)
+            assert project_directions(basis, zeroed) == ([] if int64 else D)
+    big = ObjectiveWeights.make([(2 ** 61 + 1, 3, -(2 ** 61 - 5)),
+                                 (1, 2 ** 61, 7)])
+    basis = graver_basis(IntMat(1, 3, ((1, 2, 1),)))  # max |g|_1 = 3
+    D = _exact_projection(basis.elements, big)
+    assert project_directions(basis, _zeroed_int64_copy(big)) == D
+    assert project_directions(basis, big) == D
+
+
+def test_lift_guard_sends_huge_certificates_to_the_exact_path():
+    unit = ObjectiveWeights.make([(1, 0, -1), (0, 1, 1)])
+    zeroed = _zeroed_int64_copy(unit)
+    for c, int64 in (((INT64_BOUND - 2, -1), True),
+                     ((INT64_BOUND - 1, -1), False),
+                     ((2 ** 70, -3), False)):
+        h = _exact_lift(c, unit)
+        assert lift_normal(c, unit) == h
+        assert lift_normal(c, zeroed) == ((0, 0, 0) if int64 else h)
+    weights = ObjectiveWeights.make([(1, 2, 3), (4, -5, 6)])
+    c = (2 ** 62, 1)
+    assert lift_normal(c, _zeroed_int64_copy(weights)) == \
+        _exact_lift(c, weights)
+    assert lift_normal((2 ** 70, 5), ObjectiveWeights.make(
+        [(0, 0), (0, 0)])) == (0, 0)

@@ -103,7 +103,7 @@ def test_conformal_decomposition_soundness():
         total = (0,) * basis.n
         for p in parts:
             assert conformal_leq(p, g)
-            assert p in basis
+            assert p in basis.elements
             total = vec_add(total, p)
         assert total == g
 

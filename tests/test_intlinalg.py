@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import transpose, vec_add, vec_scale, vstack
+from conftest import (dense_column_echelon, densify_echelon, transpose,
+                      vec_add, vec_scale, vstack)
 from gravopt.errors import DimensionMismatchError
-from gravopt.intlinalg import (IntMat, dot, format_matrix,
+from gravopt.intlinalg import (IntMat, _column_echelon, dot, format_matrix,
                                lattice_kernel_basis, mat_vec, parse_matrix,
                                rank, solve_integer, vec_sub)
+from gravopt.nfold import NFoldStencil, nfold_matrix
 
 int_entries = st.integers(min_value=-9, max_value=9)
 
@@ -130,3 +132,32 @@ def test_matrix_text_format_is_stable():
     assert parse_matrix("2 3\n 1 -2  3\n0 0 0") == A
     with pytest.raises(ValueError):
         parse_matrix("2 3\n1 2 3\n")
+
+
+def test_sparse_echelon_matches_the_dense_oracle_on_random_matrices():
+    # every choice (j0, the quotients, the swap, the sign) is the dense
+    # routine's, so the densified (E, U, pivots) must be equal
+    rng = random.Random(1111)
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 7)
+        lo = -rng.choice((1, 3, 9))
+        A = IntMat(rows, cols,
+                   tuple(tuple(rng.randint(lo, -lo) if rng.random() < 0.6
+                               else 0 for _ in range(cols))
+                         for _ in range(rows)))
+        assert densify_echelon(A, _column_echelon(A)) == \
+            dense_column_echelon(A)
+
+
+def test_sparse_echelon_matches_the_dense_oracle_on_transport_nfold():
+    stencil = NFoldStencil(
+        IntMat.identity(4),
+        IntMat(4, 4, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0),
+                      (0, 1, 0, 1))))
+    for n in (8, 32, 64):
+        A = nfold_matrix(stencil, n)
+        E, U, pivots = _column_echelon(A)
+        assert densify_echelon(A, (E, U, pivots)) == dense_column_echelon(A)
+        assert len(pivots) == rank(A)
+        # the transform stays sparse: under 4 nonzeros per column
+        assert sum(map(len, U)) < 4 * A.cols

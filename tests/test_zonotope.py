@@ -5,14 +5,15 @@ from math import comb
 
 import pytest
 
-from conftest import cross3, hull_extreme_points
-from gravopt.apps import build_threeway
+from conftest import (cross3, dense_column_echelon, densify_echelon,
+                      hull_extreme_points, seeded_transport)
+from gravopt import zonotope
 from gravopt.config import RunConfig
 from gravopt.convexopt import project_directions
 from gravopt.errors import DimensionMismatchError, ResourceLimitError
-from gravopt.intlinalg import dot
+from gravopt.intlinalg import IntMat, dot, lattice_kernel_basis
 from gravopt.nfold import nfold_graver
-from gravopt.zonotope import zonotope_vertices
+from gravopt.zonotope import _minors_normal, _primitive, zonotope_vertices
 
 
 def _sgn(a):
@@ -108,16 +109,7 @@ def test_general_position_d3(m):
 def _transport_projection_d3(n):
     """Projected basis directions of a seeded 2x2xn transport table under
     three seeded weight arrays (seed 1010)."""
-    rng = random.Random(1010)
-    tab = [[[rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
-           for _ in range(2)]
-    u = [[sum(tab[i][j]) for j in range(2)] for i in range(2)]
-    v = [[tab[i][0][k] + tab[i][1][k] for k in range(n)] for i in range(2)]
-    z = [[tab[0][j][k] + tab[1][j][k] for k in range(n)] for j in range(2)]
-    stencil, _rhs, codec = build_threeway(2, 2, n, u, v, z)
-    arrays = [[[[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
-               for _ in range(2)] for _ in range(3)]
-    weights = codec.encode_weights(arrays)
+    stencil, _rhs, weights, _maxlin = seeded_transport(n, 3, 1010)
     return project_directions(nfold_graver(stencil, n).elements, weights)
 
 
@@ -140,3 +132,48 @@ def test_dimension_guard_and_mismatch():
     with pytest.raises(DimensionMismatchError):
         zonotope_vertices([(1, 0)], dim=3)
 
+
+def test_independent_subset_echelons_match_the_dense_oracle(monkeypatch):
+    # the tall |gens| x dim matrices that _independent_subset reduces
+    seen = []
+    echelon = zonotope._column_echelon
+
+    def recording(A):
+        out = echelon(A)
+        seen.append((A, out))
+        return out
+
+    monkeypatch.setattr(zonotope, "_column_echelon", recording)
+    rng = random.Random(2024)
+    families = [_transport_projection_d3(8)]
+    for _ in range(40):
+        d = rng.randint(2, 4)
+        families.append([tuple(rng.randint(-2, 2) for _ in range(d))
+                         for _ in range(rng.randint(1, 7))])
+    for gens in families:
+        zonotope_vertices(gens)
+    assert len(seen) > 1000 and any(A.rows > A.cols for A, _ in seen)
+    for A, out in seen:
+        assert densify_echelon(A, out) == dense_column_echelon(A)
+
+
+def test_minors_normal_is_the_primitive_kernel_vector():
+    rng = random.Random(2025)
+    ranks = set()
+    for _ in range(2000):
+        k = rng.randint(2, 6)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(k))
+                for _ in range(k - 1)]
+        if k > 2 and rng.random() < 0.3:
+            # rank-deficient: the last row is a combination of the others
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            other = rows[1] if k > 3 else rows[0]
+            rows[-1] = tuple(a * u + b * v for u, v in zip(rows[0], other))
+        kernel = lattice_kernel_basis(IntMat.from_rows(rows, cols=k))
+        ranks.add(len(kernel))
+        normal = _minors_normal(rows)
+        if len(kernel) == 1:
+            assert _primitive(normal)[0] == _primitive(kernel[0])[0]
+        else:
+            assert not any(normal)
+    assert {1, 2, 3} <= ranks
