@@ -13,9 +13,9 @@ from .bruteforce import (EnumBudget, brute_convex_max, brute_force_graver,
                          enumerate_feasible)
 from .config import DEFAULT_CONFIG, RunConfig
 from .convexopt import (CallbackObjective, ConvexObjective, ConvexOutcome,
-                        LinearObjective, MaxLinearObjective, NegatedObjective,
-                        ObjectiveWeights, SquaredNormObjective,
-                        convex_maximize, solve_convex_nfold)
+                        LinearObjective, MaxLinearObjective, ObjectiveWeights,
+                        SquaredNormObjective, convex_maximize,
+                        solve_convex_nfold)
 from .errors import (DimensionMismatchError, GravoptError,
                      InfeasibleInstanceError, InternalInconsistencyError,
                      ResourceLimitError, UsageError)
@@ -35,7 +35,7 @@ __all__ = [
     "DEFAULT_CONFIG", "DimensionMismatchError", "EnumBudget", "GraverBasis",
     "GravoptError", "InfeasibleInstanceError", "IntMat",
     "InternalInconsistencyError", "LinearObjective", "MaxLinearObjective",
-    "MultiwayInstance", "NFoldRhs", "NFoldStencil", "NegatedObjective",
+    "MultiwayInstance", "NFoldRhs", "NFoldStencil",
     "ObjectiveWeights", "PackingInstance", "PartitionInstance",
     "ResourceLimitError", "RunConfig", "SolveOutcome",
     "SquaredNormObjective", "UsageError", "ZonotopeVertex",

@@ -8,12 +8,23 @@ optima; the per-query identity cert.z == lifted.x is asserted on every
 call.
 
 Both maps through W run in int64 when their guards hold, and on exact
-Python ints otherwise, with the same result.  The projection of a Graver
-basis, P = G.W^T, is one `np.add.reduceat` over the basis's int64 view
+Python ints otherwise, with the same result.  A Graver basis is
+projected once per solve into the table P = G.W^T (`projection_table`),
+one `np.add.reduceat` over the basis's int64 view
 (`GraverBasis.int64_view`) when max|W| * max|g|_1 < 2^62; a plain list of
-directions is projected exactly.  The lift h = c^T W of a vertex
-certificate c is one int64 product when |c|_1 * max|W| < 2^62.  Both
-bounds cap every partial sum, so no int64 value overflows.
+directions is projected exactly.  The zonotope generators D are the
+distinct nonzero rows of P.  The lift h = c^T W of a vertex certificate
+c is one int64 product when |c|_1 * max|W| < 2^62.  All these bounds cap
+every partial sum, so no int64 value overflows.
+
+`solve_convex_nfold` asks its vertex queries in chunks: since
+h.g = c.(W.g), the scores of a chunk of certificates C are the rows of
+C.P^T, exact in int64 when |c|_1 * max|P| < 2^62 for every c in it, and
+`ipsolve.augment_batch` steps them all at once.  A chunk holds
+max(8, CHUNK_ENTRIES // |G|) queries, so its score array stays near
+CHUNK_ENTRIES entries.  The replies are compared in vertex order by the
+same loop as `convex_maximize`'s, so a chunk's replies after an
+unbounded one are computed but never counted.
 """
 
 from __future__ import annotations
@@ -28,14 +39,17 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, InternalInconsistencyError
 from .graver import INT64_BOUND, GraverBasis
 from .intlinalg import dot
-from .ipsolve import (INFEASIBLE, UNBOUNDED, augment_to_optimum,
-                      find_feasible)
+from .ipsolve import (INFEASIBLE, UNBOUNDED, augment_batch,
+                      augment_to_optimum, find_feasible)
 from .nfold import NFoldRhs, NFoldStencil, nfold_graver
 from .zonotope import zonotope_vertices
 
 OPTIMAL_OUTCOME = "optimal"
 INFEASIBLE_OUTCOME = "infeasible"
 UNBOUNDED_POLYHEDRON = "unbounded-polyhedron"
+
+# score entries per chunk of batched vertex queries (module docstring)
+CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -121,18 +135,6 @@ class MaxLinearObjective(_EvaluatedObjective):
 
 
 @dataclass(frozen=True)
-class NegatedObjective(_EvaluatedObjective):
-    """Flips the order of an inner objective, for minimization workflows.
-    The caller is responsible for the flipped order still being induced
-    by a convex function."""
-
-    inner: _EvaluatedObjective
-
-    def evaluate(self, z):
-        return -self.inner.evaluate(z)
-
-
-@dataclass(frozen=True)
 class CallbackObjective(ConvexObjective):
     leq: Callable
 
@@ -161,19 +163,34 @@ class ConvexOutcome:
         return self.status == OPTIMAL_OUTCOME
 
 
-def project_directions(directions: GraverBasis | Sequence[Sequence[int]],
+def projection_table(basis: GraverBasis,
+                     weights: ObjectiveWeights) -> Optional[np.ndarray]:
+    """P = G.W^T as a |G| x d int64 array, row i the projection of
+    basis.elements[i]; None when the basis has no int64 view or
+    max|W| * max|g|_1 reaches INT64_BOUND."""
+    view, W = basis.int64_view, weights.int64_rows
+    if (basis.n != weights.n or view is None or W is None
+            or weights.max_abs * view.max_l1 >= INT64_BOUND):
+        return None
+    return np.add.reduceat(W[:, view.cols] * view.vals, view.starts[:-1],
+                           axis=1).T
+
+
+def project_directions(directions: GraverBasis | np.ndarray
+                       | Sequence[Sequence[int]],
                        weights: ObjectiveWeights) -> list:
     """Projections (w_1.e, .., w_d.e), zero vectors and duplicates
     removed, sorted for determinism.  `directions` is a sequence of
-    vectors or a GraverBasis; a basis is projected on its int64 view
-    when max|W| * max|g|_1 < INT64_BOUND."""
-    if isinstance(directions, GraverBasis) and directions.n == weights.n:
-        view, W = directions.int64_view, weights.int64_rows
-        if (view is not None and W is not None
-                and weights.max_abs * view.max_l1 < INT64_BOUND):
-            P = np.add.reduceat(W[:, view.cols] * view.vals,
-                                view.starts[:-1], axis=1).T
-            return sorted(set(map(tuple, P[P.any(axis=1)].tolist())))
+    vectors, a GraverBasis, or a basis's `projection_table`, whose rows
+    are already projected; a basis is projected through its table when
+    there is one."""
+    if isinstance(directions, GraverBasis):
+        P = projection_table(directions, weights)
+        if P is not None:
+            directions = P
+    if isinstance(directions, np.ndarray):
+        P = directions
+        return sorted(set(map(tuple, P[P.any(axis=1)].tolist())))
     seen = set()
     for e in directions:
         p = weights.project(e)
@@ -212,6 +229,21 @@ def convex_maximize(lip: Callable, weights: ObjectiveWeights,
     vertex: the polyhedron is unbounded and oracle-presented convex
     functions are hopeless there.
     """
+    def replies(verts):
+        for vert in verts:
+            h = lift_normal(vert.certificate, weights)
+            yield h, lip(h)
+
+    return _search(lip, weights, directions, objective, config, replies)
+
+
+def _search(lip: Callable, weights: ObjectiveWeights, directions,
+            objective: ConvexObjective, config: RunConfig,
+            replies: Callable) -> ConvexOutcome:
+    """The probe, the zonotope and the comparison loop of
+    `convex_maximize`; replies(verts) yields (h, lip(h)) for each vertex
+    in order, h the lifted certificate, and is read only as far as the
+    loop gets."""
     stats = SearchStats()
     probe_status = lip((0,) * weights.n).status
     stats.oracle_queries += 1
@@ -222,9 +254,7 @@ def convex_maximize(lip: Callable, weights: ObjectiveWeights,
     stats.vertices = len(verts)
 
     best = None  # (z, x)
-    for vert in verts:
-        h = lift_normal(vert.certificate, weights)
-        reply = lip(h)
+    for vert, (h, reply) in zip(verts, replies(verts)):
         stats.oracle_queries += 1
         if reply.status == UNBOUNDED:
             return ConvexOutcome(UNBOUNDED_POLYHEDRON, stats=stats)
@@ -250,12 +280,31 @@ def convex_maximize(lip: Callable, weights: ObjectiveWeights,
     return ConvexOutcome(OPTIMAL_OUTCOME, x=best[1], z=best[0], stats=stats)
 
 
+def _batched_replies(x0: tuple, basis: GraverBasis,
+                     weights: ObjectiveWeights, P: np.ndarray, verts: list):
+    """(h, augment_to_optimum(x0, basis, h)) for each vertex, h its lifted
+    certificate, computed a chunk at a time (module docstring)."""
+    top = max(int(np.abs(P).max()), 1)
+    rows = max(8, CHUNK_ENTRIES // len(P))
+    for start in range(0, len(verts), rows):
+        certs = [v.certificate for v in verts[start:start + rows]]
+        hs = [lift_normal(c, weights) for c in certs]
+        if max(sum(map(abs, c)) for c in certs) * top < INT64_BOUND:
+            C = np.array(certs, dtype=np.int64)
+            replies = augment_batch(x0, basis, C @ P.T, hs)
+        else:
+            replies = (augment_to_optimum(x0, basis, h) for h in hs)
+        yield from zip(hs, replies)
+
+
 def solve_convex_nfold(stencil: NFoldStencil, n: int,
                        weights: ObjectiveWeights, b: NFoldRhs,
                        objective: ConvexObjective,
                        config: RunConfig = DEFAULT_CONFIG) -> ConvexOutcome:
     """Full pipeline: Graver basis of the n-fold matrix as edge-direction
-    cover, augmentation as the linear oracle, then the zonotope driver."""
+    cover, augmentation as the linear oracle, then the zonotope driver;
+    the vertex queries run in batches on the basis's projection table
+    when it has one."""
     if weights.n != n * stencil.t:
         raise DimensionMismatchError(
             f"objective rows of length {weights.n}, system has {n * stencil.t} variables")
@@ -268,4 +317,8 @@ def solve_convex_nfold(stencil: NFoldStencil, n: int,
     def lip(w):
         return augment_to_optimum(x0, basis, w)
 
-    return convex_maximize(lip, weights, basis, objective, config)
+    P = projection_table(basis, weights)
+    if P is None:
+        return convex_maximize(lip, weights, basis, objective, config)
+    return _search(lip, weights, P, objective, config,
+                   functools.partial(_batched_replies, x0, basis, weights, P))

@@ -5,8 +5,9 @@ vectors in ker(A).  It is computed by a Pottier-style normal-form
 completion: seed with the signed lattice kernel basis, close under pair
 sums reduced to conformal normal form, then filter to minimal elements.
 The test oracle, a brute-force box enumeration of the same set, is
-`bruteforce.brute_force_graver`.  A basis also carries, once phase II
-first asks for it, an int64 view of itself (`GraverBasis.int64_view`).
+`bruteforce.brute_force_graver`.  A basis also carries, once the
+projection or phase II first asks for it, an int64 view of itself
+(`GraverBasis.int64_view`).
 """
 
 from __future__ import annotations
@@ -39,14 +40,18 @@ INT64_BOUND = 1 << 62
 
 
 class Int64View(NamedTuple):
-    """A basis as int64 arrays, for phase II (`ipsolve.augment_to_optimum`).
+    """A basis as int64 arrays, for the batched phase-II kernel
+    (`ipsolve.augment_batch`) and the projection table
+    (`convexopt.projection_table`).
 
-    Element i's support is cols/vals[starts[i]:starts[i + 1]].  Row i of
-    neg_cols/neg_mags holds its negative entries as (column, -value),
-    padded to the longest such list with (n, 1): column n is a sentinel
-    coordinate that phase II sets above every real step length.
-    readers[j] lists the elements with a negative entry at coordinate j,
-    and nonneg the elements with none, in canonical order.
+    Element i's support is cols/vals[starts[i]:starts[i + 1]].  Column i
+    of neg_cols/neg_mags (k x |G|, one row per negative-entry slot) holds
+    element i's negative entries as (column, -value), padded to the
+    longest such list with (n, 1): column n is a sentinel coordinate that
+    phase II sets above every real step length.  The elements with a
+    negative entry at coordinate j are readers[reader_starts[j]:
+    reader_starts[j + 1]], and nonneg lists the elements with none, in
+    canonical order.
     """
 
     cols: np.ndarray
@@ -54,8 +59,9 @@ class Int64View(NamedTuple):
     starts: np.ndarray
     neg_cols: np.ndarray
     neg_mags: np.ndarray
-    readers: tuple
-    nonneg: tuple
+    reader_starts: np.ndarray
+    readers: np.ndarray
+    nonneg: np.ndarray
     max_l1: int
 
 
@@ -72,16 +78,20 @@ def _int64_view(supports: tuple, n: int) -> Optional[Int64View]:
         for j, _ in neg:
             readers[j].append(i)
     pad = [(n, 1)] * k
+    padded = [(neg + pad)[:k] for neg in negs]
     return Int64View(
         cols=np.array([j for s in supports for j, _ in s], dtype=np.int64),
         vals=np.array([a for s in supports for _, a in s], dtype=np.int64),
         starts=np.cumsum([0] + [len(s) for s in supports], dtype=np.int64),
-        neg_cols=np.array([[j for j, _ in (neg + pad)[:k]] for neg in negs],
-                          dtype=np.int64),
-        neg_mags=np.array([[m for _, m in (neg + pad)[:k]] for neg in negs],
-                          dtype=np.int64),
-        readers=tuple(np.array(r, dtype=np.intp) for r in readers),
-        nonneg=tuple(i for i, neg in enumerate(negs) if not neg),
+        neg_cols=np.array([[j for j, _ in neg] for neg in padded],
+                          dtype=np.int64).T.copy(),
+        neg_mags=np.array([[m for _, m in neg] for neg in padded],
+                          dtype=np.int64).T.copy(),
+        reader_starts=np.cumsum([0] + [len(r) for r in readers],
+                                dtype=np.int64),
+        readers=np.array([i for r in readers for i in r], dtype=np.int64),
+        nonneg=np.array([i for i, neg in enumerate(negs) if not neg],
+                        dtype=np.int64),
         max_l1=max_l1)
 
 
@@ -128,7 +138,7 @@ class GraverBasis:
 
     @functools.cached_property
     def int64_view(self) -> Optional[Int64View]:
-        """The basis as int64 arrays, built on the first phase-II query;
+        """The basis as int64 arrays, built on first use;
         None when it is empty or a 1-norm reaches INT64_BOUND."""
         return _int64_view(self.supports, self.n)
 

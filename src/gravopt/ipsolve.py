@@ -12,18 +12,26 @@ gain in the penalty sum_j min(x_j, 0).  The penalty is concave, integer
 and at most zero, so augmentation terminates, and conformal
 decomposability of coset differences makes a local optimum global.
 
-Phase II normally runs the same greedy on the basis's int64 view
-(`GraverBasis.int64_view`, built on the first query and kept on the
-basis): w.g for every element is one `np.add.reduceat` over the supports,
-the scores lam*max(w.g, 0) live in one array, `argmax` takes the first
-maximum (the canonical-order tie-break), steps are applied in Python
-ints, and only the elements with a negative entry on the step's support
-are re-scored.  Every int64 product stays below 2^62: the query needs
-max|w| * max|g|_1 and max(x0) * max(w.g) below it, and every coordinate a
-step writes must keep x_j * max(w.g) below it.  A negative entry in x0,
-or a guard that fails before or during the query, sends the query to the
-exact loop from x0; the greedy is deterministic, so the outcome is the
-same.
+Phase II normally runs one batched kernel on the basis's int64 view
+(`GraverBasis.int64_view`): `augment_to_optimum` gives it one objective,
+and `augment_batch` gives it many that share the start x0, as the convex
+driver's vertex queries do.  The kernel takes a Q x |G| array of the
+values w_q.g and steps all Q rows in lockstep, each by the greedy rules
+above: the first nonnegative element with w.g > 0 (canonical order)
+certifies unboundedness, `argmax` takes a row's first largest score
+lam*max(w.g, 0) (the canonical-order tie-break), and lam = score // w.g.
+A move is applied through the CSR supports; only the (row, element)
+pairs whose element has a negative entry at a moved coordinate and
+w.g > 0 are re-scored, by flat gathers over the negative-entry columns.
+Every int64 product stays below 2^62.  The values w.g are exact: for one
+objective max|w| * max|g|_1 is below 2^62, and a batch's caller guards
+its own.  A row starts only when max(x0) <= limit = (2^62 - 1) //
+max(w.g), and a step may not carry a coordinate past limit; for a
+positive entry a that is checked as lam > (limit - x_j) // a, which
+cannot overflow.  A row whose guard trips is re-run on the exact loop
+from x0 while the other rows keep stepping, and a negative entry in x0
+sends every row there; the greedy is deterministic, so the outcome is
+the same.
 """
 
 from __future__ import annotations
@@ -101,53 +109,143 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
     """
     if len(w) != len(x0):
         raise DimensionMismatchError("objective length != point length")
-    if len(x0) != basis.n:
-        raise DimensionMismatchError(
-            f"point of length {len(x0)}, basis has {basis.n} columns")
+    _check_point(x0, basis)
     view = basis.int64_view
     if (view is None or min(x0) < 0
             or max(map(abs, w)) * view.max_l1 >= INT64_BOUND):
         return _augment_exact(x0, basis, w)
-    out = _augment_int64(x0, basis, view, w)
+    out = _augment_one(x0, basis, view, w)
     return _augment_exact(x0, basis, w) if out is None else out
 
 
-def _augment_int64(x0: Sequence[int], basis: GraverBasis, view: Int64View,
-                   w: Sequence[int]) -> Optional[SolveOutcome]:
-    """Phase II on the int64 view; None as soon as a guard fails."""
+def augment_batch(x0: Sequence[int], basis: GraverBasis, wg: np.ndarray,
+                  objectives: Sequence[Sequence[int]]) -> list:
+    """`augment_to_optimum(x0, basis, w)` for every w in `objectives`.
+
+    Row q of the int64 array wg holds objectives[q].g for every basis
+    element g, in canonical order; the caller computes it exactly.  The
+    rows step in lockstep on the int64 view, and a row whose guard trips
+    is re-run on the exact loop (module docstring).
+    """
+    _check_point(x0, basis)
+    view = basis.int64_view
+    if view is None or min(x0) < 0:
+        outs = [None] * len(objectives)
+    else:
+        outs = _augment_rows(x0, basis, view, wg, objectives)
+    return [_augment_exact(x0, basis, w) if out is None else out
+            for out, w in zip(outs, objectives)]
+
+
+def _check_point(x0: Sequence[int], basis: GraverBasis) -> None:
+    if len(x0) != basis.n:
+        raise DimensionMismatchError(
+            f"point of length {len(x0)}, basis has {basis.n} columns")
+
+
+def _augment_one(x0: Sequence[int], basis: GraverBasis, view: Int64View,
+                 w: Sequence[int]) -> Optional[SolveOutcome]:
+    """The int64 kernel on the one objective w; None if a guard trips."""
     wg = np.add.reduceat(np.array(w, dtype=np.int64)[view.cols] * view.vals,
                          view.starts[:-1])
-    for i in view.nonneg:
-        if wg[i] > 0:
-            return SolveOutcome.unbounded(basis.elements[i])
-    top = int(wg.max())
-    if top <= 0:
-        return SolveOutcome.optimal(x0, dot(w, x0))
-    limit = (INT64_BOUND - 1) // top  # x_j <= limit: x_j * (w.g) < 2^62
-    x = list(x0)
-    if max(x) > limit:
-        return None
-    xa = np.array(x + [INT64_BOUND], dtype=np.int64)  # sentinel column n
-    wg_pos = np.maximum(wg, 0)
-    scores = (xa[view.neg_cols] // view.neg_mags).min(axis=1) * wg_pos
-    supports, readers = basis.supports, view.readers
+    return _augment_rows(x0, basis, view, wg[None, :], (w,))[0]
+
+
+def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of range(lo[i], lo[i] + count[i]) over i."""
+    ends = np.cumsum(count)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(lo - ends + count, count))
+
+
+def _gains(x: np.ndarray, view: Int64View, wg: np.ndarray,
+           pairs: np.ndarray) -> np.ndarray:
+    """Score lam*(w.g) of each (row, element) pair, given by its flat
+    index into wg; lam is the longest step keeping the row's point x[row]
+    nonnegative, and x carries the sentinel column."""
+    rows, elems = np.divmod(pairs, wg.shape[1])
+    base = rows * x.shape[1]
+    lam = x.take(base + view.neg_cols[0].take(elems)) \
+        // view.neg_mags[0].take(elems)
+    for cols, mags in zip(view.neg_cols[1:], view.neg_mags[1:]):
+        np.minimum(lam, x.take(base + cols.take(elems)) // mags.take(elems),
+                   out=lam)
+    return lam * wg.take(pairs)
+
+
+def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
+                  wg: np.ndarray, objectives: Sequence[Sequence[int]]) -> list:
+    """The batched int64 kernel (module docstring): entry q is row q's
+    outcome, or None where a guard tripped.  x0 is nonnegative."""
+    outs: list = [None] * len(wg)
+    ray = wg[:, view.nonneg] > 0
+    tops = wg.max(axis=1).tolist()
+    high = max(x0)
+    live = []
+    for q, top in enumerate(tops):
+        if ray[q].any():
+            outs[q] = SolveOutcome.unbounded(
+                basis.elements[view.nonneg[ray[q].argmax()]])
+        elif top <= 0:
+            outs[q] = SolveOutcome.optimal(x0, dot(objectives[q], x0))
+        elif high <= (INT64_BOUND - 1) // top:
+            live.append(q)
+    if not live:
+        return outs
+    ids = np.array(live)
+    wg = wg[ids]
+    limit = (INT64_BOUND - 1) // wg.max(axis=1)
+    x = np.tile(np.array([*x0, INT64_BOUND], dtype=np.int64), (len(ids), 1))
+    n, size = basis.n, wg.shape[1]
+    hot = wg > 0
+    scores = np.zeros_like(wg)
+    pairs = np.flatnonzero(hot)
+    np.put(scores, pairs, _gains(x, view, wg, pairs))
+    tripped = np.zeros(len(ids), dtype=bool)
     while True:
-        best = int(scores.argmax())  # the first maximum: canonical order
-        gain = scores.item(best)
-        if gain <= 0:
-            return SolveOutcome.optimal(x, dot(w, x))
-        lam = gain // wg.item(best)
-        for j, a in supports[best]:
-            v = x[j] + lam * a
-            if v < 0:
-                raise InternalInconsistencyError(
-                    "augmentation left the nonnegative orthant")
-            if v > limit:
-                return None
-            x[j] = xa[j] = v
-        rows = np.concatenate([readers[j] for j, _ in supports[best]])
-        scores[rows] = (xa[view.neg_cols[rows]] // view.neg_mags[rows]
-                        ).min(axis=1) * wg_pos[rows]
+        best = scores.argmax(axis=1)  # the first maximum: canonical order
+        gain = scores[np.arange(len(ids)), best]
+        done = gain <= 0
+        for q, row in zip(ids[done], x[done]):
+            xq = tuple(row[:n].tolist())
+            outs[q] = SolveOutcome.optimal(xq, dot(objectives[q], xq))
+        stop = done | tripped
+        if stop.all():
+            return outs
+        if stop.any():
+            keep = ~stop
+            ids, wg, hot, limit, x, scores, best, gain = (
+                a[keep] for a in (ids, wg, hot, limit, x, scores, best, gain))
+        rows = np.arange(len(ids))
+        lam = gain // wg[rows, best]
+        lo = view.starts[best]
+        count = view.starts[best + 1] - lo
+        rows = np.repeat(rows, count)
+        entries = _ranges(lo, count)
+        cols, vals = view.cols[entries], view.vals[entries]
+        steps = np.repeat(lam, count)
+        flat = rows * (n + 1) + cols
+        old = x.take(flat)
+        # x_j + lam*a > limit, for a > 0, without forming lam*a
+        up = np.flatnonzero(vals > 0)
+        over = up[steps[up] > (limit[rows[up]] - old[up]) // vals[up]]
+        tripped = np.zeros(len(ids), dtype=bool)
+        tripped[rows[over]] = True
+        moved = ~tripped[rows]
+        rows, cols, flat = rows[moved], cols[moved], flat[moved]
+        new = old[moved] + steps[moved] * vals[moved]
+        if (new < 0).any():
+            raise InternalInconsistencyError(
+                "augmentation left the nonnegative orthant")
+        np.put(x, flat, new)
+        lo = view.reader_starts[cols]
+        count = view.reader_starts[cols + 1] - lo
+        mark = np.zeros_like(hot)
+        np.put(mark, np.repeat(rows * size, count)
+               + view.readers[_ranges(lo, count)], True)
+        mark &= hot
+        pairs = np.flatnonzero(mark)
+        np.put(scores, pairs, _gains(x, view, wg, pairs))
 
 
 def _augment_exact(x0: Sequence[int], basis: GraverBasis,

@@ -1,13 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_matrix
 from gravopt import cli, convexopt, graver, ipsolve
 from gravopt.apps import build_threeway
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
-from gravopt.convexopt import (MaxLinearObjective, SquaredNormObjective,
-                               solve_convex_nfold)
+from gravopt.convexopt import (UNBOUNDED_POLYHEDRON, MaxLinearObjective,
+                               ObjectiveWeights, SearchStats,
+                               SquaredNormObjective, solve_convex_nfold)
 from gravopt.errors import (DimensionMismatchError,
                             InternalInconsistencyError)
 from gravopt.graver import INT64_BOUND, GraverBasis, graver_basis
@@ -41,13 +43,17 @@ def test_augmentation_rejects_a_point_of_the_wrong_length(monkeypatch):
     def loop(*args):
         raise AssertionError("augmented a point of the wrong length")
 
-    monkeypatch.setattr(ipsolve, "_augment_int64", loop)
+    monkeypatch.setattr(ipsolve, "_augment_rows", loop)
     monkeypatch.setattr(ipsolve, "_augment_exact", loop)
     basis = graver_basis(IntMat(1, 2, ((1, 1),)))
     for x0, w in (((0, 2, 5), (1, 0, 7)), ((2,), (1,))):
         with pytest.raises(DimensionMismatchError,
                            match=f"point of length {len(x0)}, basis has 2"):
             augment_to_optimum(x0, basis, w)
+        with pytest.raises(DimensionMismatchError,
+                           match=f"point of length {len(x0)}, basis has 2"):
+            ipsolve.augment_batch(x0, basis, np.ones((1, 2), dtype=np.int64),
+                                  [(1, 1)])
 
 
 def test_augmentation_on_line_segment():
@@ -207,19 +213,147 @@ def test_int64_and_exact_paths_agree():
 
 def test_int64_and_exact_paths_agree_on_every_vertex_query(monkeypatch):
     calls = []
+    batch, exact = convexopt.augment_batch, ipsolve._augment_exact
 
-    def both(x0, basis, w):
-        calls.append(w)
-        return _assert_paths_agree(x0, basis, w)
+    def both(x0, basis, wg, objectives):
+        replies = batch(x0, basis, wg, objectives)
+        for w, reply in zip(objectives, replies):
+            calls.append(w)
+            assert reply == exact(x0, basis, w), (x0, w)
+        return replies
 
-    monkeypatch.setattr(convexopt, "augment_to_optimum", both)
+    monkeypatch.setattr(convexopt, "augment_batch", both)
+    reruns = _spy(monkeypatch, ipsolve, "_augment_exact")
     stencil, rhs, weights = _transport_2x2(random.Random(1010), 8, 3)
     maxlin = MaxLinearObjective(((1, -1, 0), (0, 2, 1)))
     for objective in (SquaredNormObjective(), maxlin):
         calls.clear()
         out = solve_convex_nfold(stencil, 8, weights, rhs, objective)
         assert out.status == OPTIMAL
-        assert len(calls) == out.stats.oracle_queries > 500
+        assert len(calls) == out.stats.oracle_queries - 1 > 500
+    assert not reruns  # every reply came from the int64 kernel
+
+
+def _wg(basis, objectives):
+    """The exact values w.g, one row per objective, as int64."""
+    return np.array([[dot(w, g) for g in basis.elements] for w in objectives],
+                    dtype=np.int64)
+
+
+def test_batched_kernel_matches_the_exact_loop_row_by_row():
+    # random systems with several objectives per call: unbounded rows,
+    # rows with max w.g <= 0 (x0 is optimal) and padded negative rows
+    rng = random.Random(73)
+    seen = {"unbounded": 0, "flat": 0, "stepped": 0, "padded": 0}
+    for _ in range(80):
+        basis = graver_basis(random_matrix(rng, max_rows=2, max_cols=5))
+        view = basis.int64_view
+        if view is None:
+            continue
+        seen["padded"] += bool((view.neg_cols == basis.n).any())
+        x0 = tuple(rng.randint(0, 4) for _ in range(basis.n))
+        objectives = [tuple(rng.randint(-3, 3) for _ in range(basis.n))
+                      for _ in range(rng.randint(1, 6))]
+        objectives.append((0,) * basis.n)
+        wg = _wg(basis, objectives)
+        outs = ipsolve._augment_rows(x0, basis, view, wg, objectives)
+        assert outs == ipsolve.augment_batch(x0, basis, wg, objectives)
+        for w, row, out in zip(objectives, wg, outs):
+            assert out == ipsolve._augment_exact(x0, basis, w), (x0, w)
+            if out.status == UNBOUNDED:
+                seen["unbounded"] += 1
+            elif row.max() <= 0:
+                seen["flat"] += 1
+            elif out.x != x0:
+                seen["stepped"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_batched_kernel_trips_one_row_while_the_others_step(monkeypatch):
+    # x1 + 2 x2 = b beside x3 + .. + x6 = b': rows 0 and 4 pass the guard
+    # before the query and trip on their first step, which is the same
+    # step (as in the single-row case of the guard test); rows 1 and 2
+    # empty two coordinates of the second block, one per step, so they
+    # carry on after rows 0 and 4 stop
+    basis = graver_basis(IntMat(2, 6, ((1, 2, 0, 0, 0, 0),
+                                       (0, 0, 1, 1, 1, 1))))
+    k = INT64_BOUND // 3
+    x0 = (0, k, 3, 1, 4, 2)
+    objectives = [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1),
+                  (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 0),
+                  (1, 0, 0, 0, 0, 1)]
+    wg = _wg(basis, objectives)
+    outs = ipsolve._augment_rows(x0, basis, basis.int64_view, wg, objectives)
+    exact = [ipsolve._augment_exact(x0, basis, w) for w in objectives]
+    assert outs == [None] + exact[1:4] + [None]
+    assert exact[0] == SolveOutcome.optimal((2 * k, 0, 3, 1, 4, 2), 2 * k)
+    assert [out.x[2:].count(0) for out in outs[1:4]] == [2, 2, 0]
+    reruns = _spy(monkeypatch, ipsolve, "_augment_exact")
+    assert ipsolve.augment_batch(x0, basis, wg, objectives) == exact
+    assert reruns == [exact[0], exact[4]]
+
+
+def _per_vertex(stencil, n, weights, rhs, objective):
+    """solve_convex_nfold with one augment_to_optimum call per vertex."""
+    basis = nfold_graver(stencil, n)
+    x0 = find_feasible(stencil, n, rhs, basis=basis).x
+    return convexopt.convex_maximize(
+        lambda w: augment_to_optimum(x0, basis, w), weights, basis, objective)
+
+
+@pytest.mark.parametrize("entries", [1, convexopt.CHUNK_ENTRIES])
+def test_batched_vertex_queries_match_the_per_vertex_loop(monkeypatch,
+                                                          entries):
+    # with entries = 1 a chunk holds 8 queries, so every solve below spans
+    # several chunks; at the default size the d = 3 one still does
+    monkeypatch.setattr(convexopt, "CHUNK_ENTRIES", entries)
+    chunks = _spy(monkeypatch, convexopt, "augment_batch")
+    rng = random.Random(79)
+    for n, d in ((4, 2), (6, 2), (8, 2), (8, 3)):
+        stencil, rhs, weights = _transport_2x2(rng, n, d)
+        maxlin = MaxLinearObjective(((1,) * d, (-1,) + (2,) * (d - 1)))
+        for objective in (SquaredNormObjective(), maxlin):
+            chunks.clear()
+            out = solve_convex_nfold(stencil, n, weights, rhs, objective)
+            assert out == _per_vertex(stencil, n, weights, rhs, objective)
+            assert sum(map(len, chunks)) == out.stats.vertices
+            assert len(chunks) > 1 or (entries > 1 and d == 2)
+    # sum_k x_k - y_k = 1 is unbounded: the fifth vertex query of the
+    # first chunk is the first unbounded reply, and the search stops there
+    stencil = NFoldStencil(IntMat(1, 2, ((1, -1),)), IntMat(0, 2, ()))
+    rhs = NFoldRhs.make((1,), [()] * 3)
+    weights = ObjectiveWeights.make([(1, 2, 1, 1, 2, 2),
+                                     (-1, -1, 2, 1, 2, -1)])
+    chunks.clear()
+    out = solve_convex_nfold(stencil, 3, weights, rhs, SquaredNormObjective())
+    assert out == _per_vertex(stencil, 3, weights, rhs,
+                              SquaredNormObjective())
+    assert out.status == UNBOUNDED_POLYHEDRON
+    assert out.stats == SearchStats(oracle_queries=6, identity_checks=4,
+                                    vertices=18)
+    assert [r.status for r in chunks[0][:6]] == [OPTIMAL] * 4 + [UNBOUNDED] * 2
+    assert len(chunks) == 1
+
+
+def test_chunk_guard_sends_large_certificates_to_the_single_query_path(
+        monkeypatch):
+    # scaled weights put |c|_1 * max|P| past 2^62 for some certificates
+    # of the solve only: a chunk holding one is answered query by query
+    # (here by the exact loop), the other chunks are batched
+    monkeypatch.setattr(convexopt, "CHUNK_ENTRIES", 1)
+    chunks = _spy(monkeypatch, convexopt, "augment_batch")
+    single = _spy(monkeypatch, convexopt, "augment_to_optimum")
+    stencil, rhs, weights = _transport_2x2(random.Random(85), 8, 2)
+    scale = 1 << 25
+    big = ObjectiveWeights.make([[scale * a for a in row]
+                                 for row in weights.rows])
+    out = solve_convex_nfold(stencil, 8, big, rhs, SquaredNormObjective())
+    # of 6 chunks, 3 are batched; the probe and 3 x 8 queries are not
+    assert len(chunks) == 3 and len(single) == 25
+    assert out == _per_vertex(stencil, 8, big, rhs, SquaredNormObjective())
+    small = solve_convex_nfold(stencil, 8, weights, rhs,
+                               SquaredNormObjective())
+    assert out.x == small.x and out.z == tuple(scale * a for a in small.z)
 
 
 def _spy(monkeypatch, module, name):
@@ -236,7 +370,7 @@ def _spy(monkeypatch, module, name):
 
 
 def test_int64_guards_fall_back_to_the_exact_loop(monkeypatch):
-    fast = _spy(monkeypatch, ipsolve, "_augment_int64")
+    fast = _spy(monkeypatch, ipsolve, "_augment_one")
     exact = _spy(monkeypatch, ipsolve, "_augment_exact")
     # x1 + x2 = b: max |g|_1 = 2, and w = (1, 0) gives max w.g = 1, so
     # x0 may reach 2^62 - 1 on the int64 path
