@@ -5,14 +5,17 @@ vectors in ker(A).  It is computed by a Pottier-style normal-form
 completion: seed with the signed lattice kernel basis, close under pair
 sums reduced to conformal normal form, then filter to minimal elements.
 The test oracle, a brute-force box enumeration of the same set, is
-`bruteforce.brute_force_graver`.  A basis also carries, once the
-projection or phase II first asks for it, an int64 view of itself
-(`GraverBasis.int64_view`).
+`bruteforce.brute_force_graver`.  A basis also carries an int64 view of
+itself (`GraverBasis.int64_view`), built with numpy straight from its
+elements, a block of rows at a time, when first asked for: in a solve
+that is phase I, and the projection and phase II reuse it.  The Python
+`GraverBasis.supports` is built only when an exact fallback loop runs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -35,28 +38,41 @@ def conformal_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     return True
 
 
-# phase II keeps every int64 product below this bound (ipsolve's guards)
+# every int64 value of the view's users stays below this bound (the
+# guards of ipsolve and convexopt)
 INT64_BOUND = 1 << 62
+
+# basis entries converted to int64 per block while the view is built
+VIEW_BLOCK_ENTRIES = 1 << 16
 
 
 class Int64View(NamedTuple):
-    """A basis as int64 arrays, for the batched phase-II kernel
-    (`ipsolve.augment_batch`) and the projection table
-    (`convexopt.projection_table`).
+    """A basis as int64 arrays, for phase I (`ipsolve.drive_nonnegative`),
+    the batched phase-II kernel (`ipsolve.augment_batch`) and the
+    projection table (`convexopt.projection_table`).
 
-    Element i's support is cols/vals[starts[i]:starts[i + 1]].  Column i
-    of neg_cols/neg_mags (k x |G|, one row per negative-entry slot) holds
-    element i's negative entries as (column, -value), padded to the
-    longest such list with (n, 1): column n is a sentinel coordinate that
-    phase II sets above every real step length.  The elements with a
+    Element i's support is cols/vals[starts[i]:starts[i + 1]], in column
+    order.  Row i of supp_cols/supp_vals (|G| x k) holds the same entries
+    padded to the longest support with (n, 1), and the elements whose
+    support meets coordinate j are meets[meet_starts[j]:meet_starts[j + 1]]:
+    phase I scores from the table and re-scores through this index.
+    Column i of neg_cols/neg_mags (k x |G|, one row per negative-entry
+    slot) holds element i's negative entries as (column, -value), padded
+    to the longest such list with (n, 1).  Column n is a sentinel
+    coordinate each kernel sets to suit its padding: zero in phase I,
+    above every real step length in phase II.  The elements with a
     negative entry at coordinate j are readers[reader_starts[j]:
-    reader_starts[j + 1]], and nonneg lists the elements with none, in
-    canonical order.
+    reader_starts[j + 1]], and nonneg lists the elements with none.
+    Element ids ascend (canonical order) within every list.
     """
 
     cols: np.ndarray
     vals: np.ndarray
     starts: np.ndarray
+    supp_cols: np.ndarray
+    supp_vals: np.ndarray
+    meet_starts: np.ndarray
+    meets: np.ndarray
     neg_cols: np.ndarray
     neg_mags: np.ndarray
     reader_starts: np.ndarray
@@ -65,34 +81,78 @@ class Int64View(NamedTuple):
     max_l1: int
 
 
-def _int64_view(supports: tuple, n: int) -> Optional[Int64View]:
-    if not supports:
+def _int64_view(elements: tuple, n: int) -> Optional[Int64View]:
+    """The view of the basis `elements` of length n, built a block of
+    rows at a time, so the dense |G| x n array is never held; None when
+    there are no elements or a 1-norm reaches INT64_BOUND."""
+    if not elements:
         return None
-    max_l1 = max(sum(abs(a) for _, a in s) for s in supports)
-    if max_l1 >= INT64_BOUND:
-        return None
-    negs = [[(j, -a) for j, a in s if a < 0] for s in supports]
-    k = max(1, max(map(len, negs)))
-    readers: list = [[] for _ in range(n)]
-    for i, neg in enumerate(negs):
-        for j, _ in neg:
-            readers[j].append(i)
-    pad = [(n, 1)] * k
-    padded = [(neg + pad)[:k] for neg in negs]
+    rows = max(1, VIEW_BLOCK_ENTRIES // max(n, 1))
+    elem, cols, vals = [], [], []
+    max_l1 = 0
+    for lo in range(0, len(elements), rows):
+        chunk = elements[lo:lo + rows]
+        try:
+            block = np.fromiter(itertools.chain.from_iterable(chunk),
+                                dtype=np.int64, count=len(chunk) * n)
+        except OverflowError:  # an entry outside int64
+            return None
+        block = block.reshape(len(chunk), n)
+        if block.min() <= -INT64_BOUND or block.max() >= INT64_BOUND:
+            return None
+        i, j = np.nonzero(block)
+        elem.append(i + lo)
+        cols.append(j)
+        vals.append(block[i, j])
+        mags = np.abs(block, out=block)
+        # a row sum is at most max|a| * n: summed in int64 below 2^63
+        if int(mags.max()) * n < 1 << 63:
+            max_l1 = max(max_l1, int(mags.sum(axis=1).max()))
+        else:
+            max_l1 = max(max_l1, *(sum(map(abs, g)) for g in chunk))
+        if max_l1 >= INT64_BOUND:
+            return None
+    elem, cols, vals = (np.concatenate(a) for a in (elem, cols, vals))
+    size = len(elements)
+    counts = np.bincount(elem, minlength=size)
+    neg = vals < 0
+    neg_elem, neg_cols, neg_mags = elem[neg], cols[neg], -vals[neg]
+    neg_counts = np.bincount(neg_elem, minlength=size)
+    meet_starts, meets = _grouped(cols, elem, n)
+    reader_starts, readers = _grouped(neg_cols, neg_elem, n)
     return Int64View(
-        cols=np.array([j for s in supports for j, _ in s], dtype=np.int64),
-        vals=np.array([a for s in supports for _, a in s], dtype=np.int64),
-        starts=np.cumsum([0] + [len(s) for s in supports], dtype=np.int64),
-        neg_cols=np.array([[j for j, _ in neg] for neg in padded],
-                          dtype=np.int64).T.copy(),
-        neg_mags=np.array([[m for _, m in neg] for neg in padded],
-                          dtype=np.int64).T.copy(),
-        reader_starts=np.cumsum([0] + [len(r) for r in readers],
-                                dtype=np.int64),
-        readers=np.array([i for r in readers for i in r], dtype=np.int64),
-        nonneg=np.array([i for i, neg in enumerate(negs) if not neg],
-                        dtype=np.int64),
+        cols=cols, vals=vals, starts=_starts(counts),
+        supp_cols=_padded(elem, counts, cols, n),
+        supp_vals=_padded(elem, counts, vals, 1),
+        meet_starts=meet_starts, meets=meets,
+        neg_cols=_padded(neg_elem, neg_counts, neg_cols, n).T.copy(),
+        neg_mags=_padded(neg_elem, neg_counts, neg_mags, 1).T.copy(),
+        reader_starts=reader_starts, readers=readers,
+        nonneg=np.flatnonzero(neg_counts == 0),
         max_l1=max_l1)
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _grouped(keys: np.ndarray, ids: np.ndarray, size: int) -> tuple:
+    """(starts, grouped): the ids with key j are grouped[starts[j]:
+    starts[j + 1]], in their order in `ids`."""
+    return (_starts(np.bincount(keys, minlength=size)),
+            ids[np.argsort(keys, kind="stable")])
+
+
+def _padded(elem: np.ndarray, counts: np.ndarray, values: np.ndarray,
+            fill: int) -> np.ndarray:
+    """The |G| x max(1, max(counts)) table whose row i holds the values
+    of element i's entries in order, then fill; elem ascends and counts
+    holds its multiplicities."""
+    table = np.full((len(counts), max(1, int(counts.max()))), fill,
+                    dtype=np.int64)
+    first = np.cumsum(counts) - counts
+    table[elem, np.arange(len(elem)) - first[elem]] = values
+    return table
 
 
 def _first_nonzero_positive(v: Sequence[int]) -> bool:
@@ -131,16 +191,16 @@ class GraverBasis:
     @functools.cached_property
     def supports(self) -> tuple:
         """Per element, the (index, value) pairs of its nonzero entries.
-        N-fold elements are very sparse; the augmentation inner loops run
+        N-fold elements are very sparse; the exact augmentation loops run
         over these instead of the full vectors."""
         return tuple(tuple((j, a) for j, a in enumerate(g) if a)
                      for g in self.elements)
 
     @functools.cached_property
     def int64_view(self) -> Optional[Int64View]:
-        """The basis as int64 arrays, built on first use;
+        """The basis as int64 arrays, built from `elements` on first use;
         None when it is empty or a 1-norm reaches INT64_BOUND."""
-        return _int64_view(self.supports, self.n)
+        return _int64_view(self.elements, self.n)
 
 
 def _normal_form(v: IntVec, basis: list) -> IntVec:

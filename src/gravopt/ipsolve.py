@@ -1,37 +1,53 @@
 """Linear integer programming by Graver-basis augmentation.
 
-Both phases run one greedy loop, `_best_steps`: one integer score per
-candidate in canonical basis order, a step along the first largest
-positive score, then re-scores of only the candidates that read a moved
-coordinate.  The phases differ only in the candidates, what each score
-reads, and the score.  Phase II: the improving elements, read at their
-negative entries, scored lam*(w.g) at the longest feasible step lam; an
-improving nonnegative element certifies unboundedness.  Phase I, from a
-lattice solution: every element, read on its support, scored by its best
-gain in the penalty sum_j min(x_j, 0).  The penalty is concave, integer
-and at most zero, so augmentation terminates, and conformal
+On Python ints both phases run one greedy loop, `_best_steps`: one
+integer score per candidate in canonical basis order, a step along the
+first largest positive score, then re-scores of only the candidates that
+read a moved coordinate.  The phases differ only in the candidates, what
+each score reads, and the score.  Phase II: the improving elements, read
+at their negative entries, scored lam*(w.g) at the longest feasible step
+lam; an improving nonnegative element certifies unboundedness.  Phase I,
+from a lattice solution: every element, read on its support, scored by
+its best gain in the penalty sum_j min(x_j, 0).  The penalty is concave,
+integer and at most zero, so augmentation terminates, and conformal
 decomposability of coset differences makes a local optimum global.
 
-Phase II normally runs one batched kernel on the basis's int64 view
-(`GraverBasis.int64_view`): `augment_to_optimum` gives it one objective,
-and `augment_batch` gives it many that share the start x0, as the convex
-driver's vertex queries do.  The kernel takes a Q x |G| array of the
-values w_q.g and steps all Q rows in lockstep, each by the greedy rules
-above: the first nonnegative element with w.g > 0 (canonical order)
-certifies unboundedness, `argmax` takes a row's first largest score
-lam*max(w.g, 0) (the canonical-order tie-break), and lam = score // w.g.
-A move is applied through the CSR supports; only the (row, element)
-pairs whose element has a negative entry at a moved coordinate and
-w.g > 0 are re-scored, by flat gathers over the negative-entry columns.
-Every int64 product stays below 2^62.  The values w.g are exact: for one
-objective max|w| * max|g|_1 is below 2^62, and a batch's caller guards
-its own.  A row starts only when max(x0) <= limit = (2^62 - 1) //
-max(w.g), and a step may not carry a coordinate past limit; for a
-positive entry a that is checked as lam > (limit - x_j) // a, which
-cannot overflow.  A row whose guard trips is re-run on the exact loop
-from x0 while the other rows keep stepping, and a negative entry in x0
-sends every row there; the greedy is deterministic, so the outcome is
-the same.
+Both phases normally run on the basis's int64 view
+(`GraverBasis.int64_view`, built on first use: in a solve, by phase I);
+the exact loop, over the Python `GraverBasis.supports`, is their
+fallback.  Phase I scores every element once from the padded support
+table, PENALTY_BLOCK_ENTRIES (element, candidate lam, entry) values at a
+time: the gain sum_j min(x_j + lam*a_j, 0) - min(x_j, 0) at lam = 1 and
+at the integer neighbours of every kink -x_j/a_j, the largest gain with
+the smallest lam among its maximizers, and (0, 0) where no positive entry
+sits at a negative coordinate, as `_best_negpart_step` scores on Python
+ints.  `argmax` takes the first largest gain (the canonical-order
+tie-break), and after a move only the elements whose support meets a
+moved coordinate are re-scored.  Every candidate lam is at most
+max|x| + 1, so each int64 value of a score, and each coordinate a step
+writes, is at most max|g|_1 * (2 max|x| + 1), kept below 2^62: phase I
+starts only when max|x0| is within that bound, and a step that writes a
+coordinate past it sends the whole phase back to the exact loop from x0.
+
+Phase II runs one batched kernel on the view: `augment_to_optimum`
+gives it one objective, and `augment_batch` gives it many that share the
+start x0, as the convex driver's vertex queries do.  The kernel takes a
+Q x |G| array of the values w_q.g and steps all Q rows in lockstep, each
+by the greedy rules above: the first nonnegative element with w.g > 0
+(canonical order) certifies unboundedness, `argmax` takes a row's first
+largest score lam*max(w.g, 0) (the canonical-order tie-break), and
+lam = score // w.g.  A move is applied through the CSR supports; only
+the (row, element) pairs whose element has a negative entry at a moved
+coordinate and w.g > 0 are re-scored, by flat gathers over the
+negative-entry columns.  Every int64 product stays below 2^62.  The
+values w.g are exact: for one objective max|w| * max|g|_1 is below 2^62,
+and a batch's caller guards its own.  A row starts only when
+max(x0) <= limit = (2^62 - 1) // max(w.g), and a step may not carry a
+coordinate past limit; for a positive entry a that is checked as
+lam > (limit - x_j) // a, which cannot overflow.  A row whose guard
+trips is re-run on the exact loop from x0 while the other rows keep
+stepping, and a negative entry in x0 sends every row there; the greedy
+is deterministic, so the outcome is the same.
 """
 
 from __future__ import annotations
@@ -50,6 +66,9 @@ from .nfold import NFoldRhs, NFoldStencil, nfold_graver, nfold_matrix
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# (element, candidate, support slot) entries per block of phase-I scores
+PENALTY_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -315,14 +334,97 @@ def _best_negpart_step(x: Sequence[int], supp):
 def drive_nonnegative(x0: Sequence[int], basis: GraverBasis) -> tuple:
     """Maximize sum_j min(x_j, 0) over the lattice coset of x0 by greedy
     best augmentation.  Returns the final point; nonnegative iff the
-    coset meets the nonnegative orthant."""
+    coset meets the nonnegative orthant.  Runs on the basis's int64 view
+    when the guard of the module docstring holds, and on the exact loop
+    otherwise."""
+    view = basis.int64_view
+    x = None if view is None else _drive_int64(x0, view)
+    return _drive_exact(x0, basis) if x is None else x
+
+
+def _penalty_limit(view: Int64View) -> int:
+    """The largest max|x| with max|g|_1 * (2 max|x| + 1) < INT64_BOUND."""
+    return ((INT64_BOUND - 1) // view.max_l1 - 1) // 2
+
+
+def _drive_int64(x0: Sequence[int], view: Int64View) -> Optional[tuple]:
+    """Phase I's greedy on the int64 view (module docstring); None if
+    max|x0|, or a coordinate a step writes, is past the guard."""
+    n = len(x0)
+    limit = _penalty_limit(view)
+    if max(map(abs, x0), default=0) > limit:
+        return None
+    x = np.array([*x0, 0], dtype=np.int64)  # the sentinel column stays 0
+    gain = np.zeros(len(view.supp_cols), dtype=np.int64)
+    lam = np.zeros_like(gain)
+    _penalty_scores(x, view, np.arange(len(gain)), gain, lam)
+    while True:
+        best = int(gain.argmax())  # the first maximum: canonical order
+        if gain[best] <= 0:
+            return tuple(x[:n].tolist())
+        entries = slice(view.starts[best], view.starts[best + 1])
+        cols = view.cols[entries]
+        moved = x[cols] + lam[best] * view.vals[entries]
+        if np.abs(moved).max() > limit:
+            return None
+        x[cols] = moved
+        lo = view.meet_starts[cols]
+        meets = np.zeros(len(gain), dtype=bool)
+        meets[view.meets[_ranges(lo, view.meet_starts[cols + 1] - lo)]] = True
+        _penalty_scores(x, view, np.flatnonzero(meets), gain, lam)
+
+
+def _penalty_scores(x: np.ndarray, view: Int64View, elems: np.ndarray,
+                    gain: np.ndarray, lam: np.ndarray) -> None:
+    """Write `_best_negpart_step(x, g)` for each element g of `elems` to
+    (lam, gain), a block of elements at a time."""
+    cols, vals = view.supp_cols[elems], view.supp_vals[elems]
+    xs = x[cols]
+    # only a positive entry at a negative coordinate can gain
+    live = ((vals > 0) & (xs < 0)).any(axis=1)
+    dead = elems[~live]
+    gain[dead] = lam[dead] = 0
+    elems, cols, vals, xs = (a[live] for a in (elems, cols, vals, xs))
+    k = cols.shape[1]
+    rows = max(1, PENALTY_BLOCK_ENTRIES // (k * (2 * k + 1)))
+    for lo in range(0, len(elems), rows):
+        block = slice(lo, lo + rows)
+        gain[elems[block]], lam[elems[block]] = _best_penalty_steps(
+            xs[block], vals[block])
+
+
+def _best_penalty_steps(xs: np.ndarray, vals: np.ndarray) -> tuple:
+    """(gain, lam) of `_best_negpart_step` for each row of the padded
+    supports vals, read at the coordinates xs: every row's gain is tried
+    at lam = 1 and at the integer neighbours q and q + 1 of the kinks
+    q + rem/a = -x_j/a, those below 1 raised to 1."""
+    q, rem = np.divmod(-xs, vals)
+    lams = [np.ones((len(xs), 1), dtype=np.int64), np.maximum(q, 1)]
+    if rem.any():  # never with unit entries
+        lams.append(np.maximum(q + (rem != 0), 1))
+    lams = np.concatenate(lams, axis=1)
+    gains = np.minimum(xs[:, None, :] + lams[:, :, None] * vals[:, None, :],
+                       0).sum(axis=2) - np.minimum(xs, 0).sum(axis=1)[:, None]
+    top = gains.max(axis=1)
+    # the smallest lam among the maximizers
+    low = np.where(gains == top[:, None], lams, INT64_BOUND).min(axis=1)
+    improves = top > 0
+    return np.where(improves, top, 0), np.where(improves, low, 0)
+
+
+def _drive_exact(x0: Sequence[int], basis: GraverBasis) -> tuple:
+    """Phase I on Python ints, through `_best_steps`."""
     x = list(x0)
     supps = basis.supports
-    for i, _ in _best_steps(
-            x, supps, supps, lambda i: _best_negpart_step(x, supps[i])[1]):
-        lam, _ = _best_negpart_step(x, supps[i])
+    lams = [0] * len(supps)
+
+    def score(i):
+        lams[i], gain = _best_negpart_step(x, supps[i])
+        return gain
+
+    for i, _ in _best_steps(x, supps, supps, score):
         for j, a in supps[i]:
-            x[j] += lam * a
+            x[j] += lams[i] * a
     return tuple(x)
 
 

@@ -13,7 +13,7 @@ from gravopt.apps import build_threeway
 from gravopt.config import DEFAULT_CONFIG
 from gravopt.convexopt import MaxLinearObjective
 from gravopt.errors import DimensionMismatchError, InternalInconsistencyError
-from gravopt.graver import GraverBasis, conformal_leq
+from gravopt.graver import INT64_BOUND, GraverBasis, Int64View, conformal_leq
 from gravopt.intlinalg import IntMat, vec_sub
 
 
@@ -117,6 +117,48 @@ def densify_echelon(A: IntMat, echelon) -> tuple:
     E, U, pivots = echelon
     return ([[c.get(i, 0) for i in range(A.rows)] for c in E],
             [[c.get(i, 0) for i in range(A.cols)] for c in U], pivots)
+
+
+def supports_int64_view(supports: tuple, n: int):
+    """The int64 view built in Python from a basis's `supports`: the
+    oracle for `graver._int64_view`, which builds it with numpy from the
+    elements."""
+    if not supports:
+        return None
+    max_l1 = max(sum(abs(a) for _, a in s) for s in supports)
+    if max_l1 >= INT64_BOUND:
+        return None
+    negs = [[(j, -a) for j, a in s if a < 0] for s in supports]
+
+    def index(lists):
+        by_col: list = [[] for _ in range(n)]
+        for i, pairs in enumerate(lists):
+            for j, _ in pairs:
+                by_col[j].append(i)
+        return (np.cumsum([0] + [len(r) for r in by_col], dtype=np.int64),
+                np.array([i for r in by_col for i in r], dtype=np.int64))
+
+    def padded(lists):
+        k = max(1, max(map(len, lists)))
+        rows = [(list(pairs) + [(n, 1)] * k)[:k] for pairs in lists]
+        return (np.array([[j for j, _ in r] for r in rows], dtype=np.int64),
+                np.array([[a for _, a in r] for r in rows], dtype=np.int64))
+
+    supp_cols, supp_vals = padded(supports)
+    neg_cols, neg_mags = padded(negs)
+    meet_starts, meets = index(supports)
+    reader_starts, readers = index(negs)
+    return Int64View(
+        cols=np.array([j for s in supports for j, _ in s], dtype=np.int64),
+        vals=np.array([a for s in supports for _, a in s], dtype=np.int64),
+        starts=np.cumsum([0] + [len(s) for s in supports], dtype=np.int64),
+        supp_cols=supp_cols, supp_vals=supp_vals,
+        meet_starts=meet_starts, meets=meets,
+        neg_cols=neg_cols.T.copy(), neg_mags=neg_mags.T.copy(),
+        reader_starts=reader_starts, readers=readers,
+        nonneg=np.array([i for i, neg in enumerate(negs) if not neg],
+                        dtype=np.int64),
+        max_l1=max_l1)
 
 
 # -- random instances and independent oracles -------------------------------

@@ -1,16 +1,21 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import col, conformal_decompose, random_matrix, vec_add
+from conftest import (col, conformal_decompose, random_matrix,
+                      supports_int64_view, vec_add)
+from gravopt import graver
 from gravopt.bruteforce import (EnumBudget, brute_force_graver,
                                 enumerate_feasible)
 from gravopt.errors import ResourceLimitError
-from gravopt.graver import GraverBasis, conformal_leq, graver_basis
+from gravopt.graver import (INT64_BOUND, GraverBasis, conformal_leq,
+                            graver_basis)
 from gravopt.intlinalg import IntMat, mat_vec, vec_sub
+from gravopt.nfold import NFoldStencil, nfold_graver
 
 small_vecs = st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(tuple)
 
@@ -164,3 +169,57 @@ def test_graver_basis_is_hashable_value_object():
     A = IntMat(1, 3, ((1, 2, 1),))
     assert graver_basis(A) == graver_basis(A)
     assert isinstance(graver_basis(A), GraverBasis)
+
+
+def _assert_same_view(basis):
+    view = graver._int64_view(basis.elements, basis.n)
+    oracle = supports_int64_view(basis.supports, basis.n)
+    if oracle is None:
+        assert view is None
+        return
+    for field, want in zip(oracle._fields, oracle):
+        got = getattr(view, field)
+        if field == "max_l1":
+            assert type(got) is int and got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), \
+                field
+
+
+def test_int64_view_matches_the_python_oracle(monkeypatch):
+    # one row per block too, so every block boundary is crossed
+    rng = random.Random(89)
+    bases = [graver_basis(random_matrix(rng)) for _ in range(150)]
+    for entries in (1, graver.VIEW_BLOCK_ENTRIES):
+        monkeypatch.setattr(graver, "VIEW_BLOCK_ENTRIES", entries)
+        for basis in bases:
+            _assert_same_view(basis)
+    monkeypatch.undo()
+    transport = NFoldStencil(IntMat.identity(4),
+                             IntMat(2, 4, ((1, 1, 0, 0), (1, 0, 1, 0))))
+    for n in (8, 32, 64):
+        _assert_same_view(nfold_graver(transport, n))
+
+
+def test_int64_view_guards_its_entries_and_one_norms():
+    top = INT64_BOUND - 1
+    half = INT64_BOUND // 2
+    cases = [
+        # entries past int64 and at its minimum, whose int64 abs wraps;
+        # then a 1-norm at and one past the bound
+        (((1 << 63, 0),), None),
+        (((-(1 << 63), 0),), None),
+        (((half, -(half - 1)),), top),
+        (((half, half),), None),
+        ((((1 << 63) - 1, 0),), None),
+        # max|a| * n >= 2^63: the 1-norm is summed on Python ints, here
+        # at the bound and past it (int64 would wrap 2 (2^62 - 1) + 2)
+        (((half, half // 2, half // 2 - 1, 0),), top),
+        (((top, -top, 2),), None),
+    ]
+    for elements, max_l1 in cases:
+        basis = GraverBasis(elements, IntMat(0, len(elements[0]), ()))
+        view = graver._int64_view(elements, basis.n)
+        assert (view and view.max_l1) == max_l1, elements
+        _assert_same_view(basis)
+    assert graver._int64_view((), 3) is None

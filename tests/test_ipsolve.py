@@ -413,6 +413,8 @@ def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
     basis, = bases
     assert out.stats.oracle_queries > 10 and len(builds) == 1
     assert basis.__dict__["int64_view"] is builds[0]
+    # every guard held, so no exact loop built the Python supports
+    assert "supports" not in basis.__dict__
     # equality and hashing ignore the view
     bare = GraverBasis(basis.elements, basis.source)
     assert bare == basis and hash(bare) == hash(basis)
@@ -427,6 +429,103 @@ def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
                          "--output", str(tmp_path / "out.txt")]) == 0
     assert len(printed) == 1 and "int64_view" not in printed[0].__dict__
     assert not builds
+
+
+def _assert_phase1_paths_agree(x0, basis):
+    """The int64 phase I takes x0 within its guard to the exact loop's
+    point; returns that point."""
+    x = ipsolve._drive_int64(x0, basis.int64_view)
+    assert x is not None and x == ipsolve._drive_exact(x0, basis), x0
+    return x
+
+
+def test_int64_and_exact_phase1_agree(monkeypatch):
+    rng = random.Random(97)
+    # cosets of x_1 + ... + x_6 = b, mostly b < 0: phase I stops at a
+    # negative point there
+    basis = graver_basis(IntMat(1, 6, ((1,) * 6,)))
+    stuck = 0
+    for _ in range(60):
+        x = _assert_phase1_paths_agree(
+            tuple(rng.randint(-6, 4) for _ in range(6)), basis)
+        stuck += min(x) < 0
+    assert stuck >= 30
+    # 2x2xn transport lattice points, far from the orthant
+    for n in range(8, 25, 4):
+        basis = nfold_graver(TRANSPORT_FIBER, n)
+        A = nfold_matrix(TRANSPORT_FIBER, n)
+        for _ in range(2):
+            x0 = tuple(rng.randint(0, 3) for _ in range(4 * n))
+            lattice = solve_integer(A, mat_vec(A, x0))
+            assert min(lattice) < 0
+            assert min(_assert_phase1_paths_agree(lattice, basis)) >= 0
+    # random systems from their lattice points: entries beyond +-1 (so
+    # kinks between integers) and supports of differing lengths (so a
+    # padded table)
+    seen = {"stepped": 0, "padded": 0, "fractional": 0}
+    for _ in range(150):
+        A = random_matrix(rng, max_rows=2, max_cols=5)
+        basis = graver_basis(A)
+        b = mat_vec(A, tuple(rng.randint(-3, 3) for _ in range(A.cols)))
+        x0 = solve_integer(A, b)
+        if basis.int64_view is None or x0 is None:
+            continue
+        seen["stepped"] += _assert_phase1_paths_agree(x0, basis) != x0
+        seen["padded"] += bool((basis.int64_view.supp_cols == A.cols).any())
+        seen["fractional"] += max(map(abs, basis.int64_view.vals)) > 1
+    assert min(seen.values()) >= 20, seen
+    # and drive_nonnegative itself takes the int64 path
+    exact = _spy(monkeypatch, ipsolve, "_drive_exact")
+    basis = nfold_graver(TRANSPORT_FIBER, 8)
+    A = nfold_matrix(TRANSPORT_FIBER, 8)
+    lattice = solve_integer(A, mat_vec(A, (1,) * 32))
+    assert drive_nonnegative(lattice, basis) == \
+        ipsolve._drive_int64(lattice, basis.int64_view)
+    assert not exact
+
+
+def test_phase1_guards_fall_back_to_the_exact_loop(monkeypatch):
+    fast = _spy(monkeypatch, ipsolve, "_drive_int64")
+    exact = _spy(monkeypatch, ipsolve, "_drive_exact")
+    # x1 - x2 = b: the basis is +-(1, 1), max |g|_1 = 2, and the step
+    # along (1, 1) that empties x1 adds |x1| to x2
+    line = graver_basis(IntMat(1, 2, ((1, -1),)))
+    limit = ipsolve._penalty_limit(line.int64_view)
+    # the limit is the largest M with max|g|_1 (2M + 1) < 2^62
+    for l1 in range(1, 9):
+        m = ipsolve._penalty_limit(graver._int64_view(((l1,), (-l1,)), 1))
+        assert l1 * (2 * m + 1) < INT64_BOUND <= l1 * (2 * m + 3)
+
+    def drive(x0, basis=line):
+        fast.clear()
+        exact.clear()
+        return drive_nonnegative(x0, basis)
+
+    # the start guard: max|x0| at the limit, then past it
+    assert drive((-limit, 0)) == (0, limit)
+    assert fast == [(0, limit)] and not exact
+    assert drive((-limit - 1, 0)) == (0, limit + 1)
+    assert fast == [None] and exact == [(0, limit + 1)]
+    # the step guard: a step writes the limit, then one past it
+    assert drive((-1, limit - 1)) == (0, limit)
+    assert fast == [(0, limit)] and not exact
+    assert drive((-1, limit)) == (0, limit + 1)
+    assert fast == [None] and exact == [(0, limit + 1)]
+    # x1 - x2 = b beside x3 - x4 = b': the first step (gain 5) empties
+    # x1, the second writes x4 past the limit after x4 starts at it, so
+    # the phase is re-run from x0 on the exact loop
+    pair = graver_basis(IntMat(2, 4, ((1, -1, 0, 0), (0, 0, 1, -1))))
+    assert ipsolve._penalty_limit(pair.int64_view) == limit
+    assert drive((-5, 0, -1, limit - 1), pair) == (0, 5, 0, limit)
+    assert fast == [(0, 5, 0, limit)] and not exact
+    assert drive((-5, 0, -1, limit), pair) == (0, 5, 0, limit + 1)
+    assert fast == [None] and exact == [(0, 5, 0, limit + 1)]
+    # a basis without a view takes the exact loop
+    huge = GraverBasis((((1 << 62), 1), (-(1 << 62), -1)),
+                       IntMat(1, 2, ((1, -(1 << 62)),)))
+    assert huge.int64_view is None
+    assert drive((-(1 << 62), -1), huge) == (0, 0)
+    assert not fast and exact == [(0, 0)]
 
 
 def test_drive_nonnegative_reaches_feasibility():
