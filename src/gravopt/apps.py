@@ -46,25 +46,14 @@ class ThreeWayCodec:
         return ObjectiveWeights.make([self.encode(a) for a in arrays])
 
 
-def two_way_margin_matrix(p: int, q: int) -> IntMat:
-    """(p+q) x pq row/column sum matrix of a p x q array, cell (i,j) at
-    column i*q + j."""
-    rows = []
-    for i in range(p):
-        rows.append(tuple(1 if ci == i else 0
-                          for ci in range(p) for _ in range(q)))
-    for j in range(q):
-        rows.append(tuple(1 if cj == j else 0
-                          for _ in range(p) for cj in range(q)))
-    return IntMat(p + q, p * q, tuple(rows))
-
-
 def build_threeway(p: int, q: int, n: int, u, v, z):
-    """Line-sum 3-way transportation as an n-fold system.
+    """Line-sum 3-way transportation as an n-fold system: `build_multiway`
+    on p x q x n arrays with the margin family {{0,1}, {0,2}, {1,2}}.
 
     u is p x q (sums over layers), v is p x n and z is q x n (per-layer
-    row and column sums).  Margin consistency is NOT checked here; an
-    inconsistent instance simply comes back Infeasible from the solver.
+    row and column sums).  Margin consistency is NOT checked here, nor
+    are signs; an inconsistent instance simply comes back Infeasible from
+    the solver.
     """
     if len(u) != p or any(len(row) != q for row in u):
         raise DimensionMismatchError("u must be p x q")
@@ -72,11 +61,14 @@ def build_threeway(p: int, q: int, n: int, u, v, z):
         raise DimensionMismatchError("v must be p x n")
     if len(z) != q or any(len(row) != n for row in z):
         raise DimensionMismatchError("z must be q x n")
-    stencil = NFoldStencil(IntMat.identity(p * q), two_way_margin_matrix(p, q))
-    b0 = tuple(u[i][j] for i in range(p) for j in range(q))
-    layers = [tuple(v[i][k] for i in range(p)) + tuple(z[j][k] for j in range(q))
-              for k in range(n)]
-    return stencil, NFoldRhs.make(b0, layers), ThreeWayCodec(p, q, n)
+    margins = {(i, j, None): u[i][j] for i in range(p) for j in range(q)}
+    margins.update(((i, None, k), v[i][k]) for i in range(p) for k in range(n))
+    margins.update(((None, j, k), z[j][k]) for j in range(q) for k in range(n))
+    # the constructor, not `make`, which rejects negative margins
+    inst = MultiwayInstance((p, q), n, frozenset(map(frozenset, (
+        {0, 1}, {0, 2}, {1, 2}))), margins)
+    stencil, rhs, _ = build_multiway(inst)
+    return stencil, rhs, ThreeWayCodec(p, q, n)
 
 
 # ---------------------------------------------------------------------------

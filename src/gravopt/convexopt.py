@@ -7,24 +7,25 @@ per vertex.  A convex comparison picks the winner among the projected
 optima; the per-query identity cert.z == lifted.x is asserted on every
 call.
 
-Both maps through W run in int64 when their guards hold, and on exact
-Python ints otherwise, with the same result.  A Graver basis is
+Both maps through W run in int64 when their guards hold, and on Python
+ints (numpy dtype object) otherwise, by the same code.  A Graver basis is
 projected once per solve into the table P = G.W^T (`projection_table`),
 one `np.add.reduceat` over the basis's int64 view
-(`GraverBasis.int64_view`) when max|W| * max|g|_1 < 2^62; a plain list of
-directions is projected exactly.  The zonotope generators D are the
-distinct nonzero rows of P.  The lift h = c^T W of a vertex certificate
-c is one int64 product when |c|_1 * max|W| < 2^62.  All these bounds cap
-every partial sum, so no int64 value overflows.
+(`GraverBasis.int64_view`) when max|W| * max|g|_1 < 2^62 and over its
+exact view otherwise; a plain list of directions is projected exactly.
+The zonotope generators D are the distinct nonzero rows of P.  The lift
+h = c^T W of a vertex certificate c is one product, in int64 when
+|c|_1 * max|W| < 2^62.  All these bounds cap every partial sum, so no
+int64 value overflows.
 
 `solve_convex_nfold` asks its vertex queries in chunks: since
 h.g = c.(W.g), the scores of a chunk of certificates C are the rows of
-C.P^T, exact in int64 when |c|_1 * max|P| < 2^62 for every c in it, and
-`ipsolve.augment_batch` steps them all at once.  A chunk holds
-max(8, CHUNK_ENTRIES // |G|) queries, so its score array stays near
-CHUNK_ENTRIES entries.  The replies are compared in vertex order by the
-same loop as `convex_maximize`'s, so a chunk's replies after an
-unbounded one are computed but never counted.
+C.P^T, computed in int64 when |c|_1 * max|P| < 2^62 for every c in it
+and on Python ints otherwise, and `ipsolve.augment_batch` steps them all
+at once.  A chunk holds max(8, CHUNK_ENTRIES // |G|) queries, so its
+score array stays near CHUNK_ENTRIES entries.  The replies are compared
+in vertex order by the same loop as `convex_maximize`'s, so a chunk's
+replies after an unbounded one are computed but never counted.
 """
 
 from __future__ import annotations
@@ -164,14 +165,20 @@ class ConvexOutcome:
 
 
 def projection_table(basis: GraverBasis,
-                     weights: ObjectiveWeights) -> Optional[np.ndarray]:
-    """P = G.W^T as a |G| x d int64 array, row i the projection of
-    basis.elements[i]; None when the basis has no int64 view or
-    max|W| * max|g|_1 reaches INT64_BOUND."""
+                     weights: ObjectiveWeights) -> np.ndarray:
+    """P = G.W^T as a |G| x d array, row i the projection of
+    basis.elements[i]: int64 when max|W| * max|g|_1 < INT64_BOUND, and
+    Python ints otherwise."""
+    if basis.n != weights.n:
+        raise DimensionMismatchError(
+            f"objective rows of length {weights.n}, basis has {basis.n} "
+            "columns")
     view, W = basis.int64_view, weights.int64_rows
-    if (basis.n != weights.n or view is None or W is None
+    if (view is None or W is None
             or weights.max_abs * view.max_l1 >= INT64_BOUND):
-        return None
+        view, W = basis.exact_view, np.array(weights.rows, dtype=object)
+    if view is None:  # no elements
+        return np.zeros((0, weights.d), dtype=np.int64)
     return np.add.reduceat(W[:, view.cols] * view.vals, view.starts[:-1],
                            axis=1).T
 
@@ -181,13 +188,11 @@ def project_directions(directions: GraverBasis | np.ndarray
                        weights: ObjectiveWeights) -> list:
     """Projections (w_1.e, .., w_d.e), zero vectors and duplicates
     removed, sorted for determinism.  `directions` is a sequence of
-    vectors, a GraverBasis, or a basis's `projection_table`, whose rows
-    are already projected; a basis is projected through its table when
-    there is one."""
+    vectors, a GraverBasis, which is projected through its
+    `projection_table`, or such a table, whose rows are already
+    projected."""
     if isinstance(directions, GraverBasis):
-        P = projection_table(directions, weights)
-        if P is not None:
-            directions = P
+        directions = projection_table(directions, weights)
     if isinstance(directions, np.ndarray):
         P = directions
         return sorted(set(map(tuple, P[P.any(axis=1)].tolist())))
@@ -201,17 +206,16 @@ def project_directions(directions: GraverBasis | np.ndarray
 
 def lift_normal(g: Sequence[int], weights: ObjectiveWeights) -> tuple:
     """The linear form h with h.x == g.(w_1 x, .., w_d x) for every x,
-    computed in int64 when |g|_1 * max|W| < INT64_BOUND."""
+    computed in int64 when |g|_1 * max|W| < INT64_BOUND and on Python
+    ints otherwise."""
     if len(g) != weights.d:
         raise DimensionMismatchError("certificate length != objective count")
     W = weights.int64_rows
     # max(.., 1): the entries of g must fit in int64 even when W = 0
-    if (W is not None
-            and sum(map(abs, g)) * max(weights.max_abs, 1) < INT64_BOUND):
-        return tuple((np.array(g, dtype=np.int64) @ W).tolist())
-    n = weights.n
-    return tuple(sum(weights.rows[i][j] * g[i] for i in range(weights.d))
-                 for j in range(n))
+    if (W is None
+            or sum(map(abs, g)) * max(weights.max_abs, 1) >= INT64_BOUND):
+        W = np.array(weights.rows, dtype=object)
+    return tuple((np.array(g, dtype=W.dtype) @ W).tolist())
 
 
 def convex_maximize(lip: Callable, weights: ObjectiveWeights,
@@ -284,17 +288,17 @@ def _batched_replies(x0: tuple, basis: GraverBasis,
                      weights: ObjectiveWeights, P: np.ndarray, verts: list):
     """(h, augment_to_optimum(x0, basis, h)) for each vertex, h its lifted
     certificate, computed a chunk at a time (module docstring)."""
-    top = max(int(np.abs(P).max()), 1)
-    rows = max(8, CHUNK_ENTRIES // len(P))
+    top = max(int(np.abs(P).max(initial=0)), 1)
+    rows = max(8, CHUNK_ENTRIES // max(len(P), 1))
     for start in range(0, len(verts), rows):
         certs = [v.certificate for v in verts[start:start + rows]]
         hs = [lift_normal(c, weights) for c in certs]
         if max(sum(map(abs, c)) for c in certs) * top < INT64_BOUND:
-            C = np.array(certs, dtype=np.int64)
-            replies = augment_batch(x0, basis, C @ P.T, hs)
+            dtype = np.int64
         else:
-            replies = (augment_to_optimum(x0, basis, h) for h in hs)
-        yield from zip(hs, replies)
+            dtype = object
+        wg = np.array(certs, dtype=dtype) @ P.astype(dtype, copy=False).T
+        yield from zip(hs, augment_batch(x0, basis, wg, hs))
 
 
 def solve_convex_nfold(stencil: NFoldStencil, n: int,
@@ -303,11 +307,11 @@ def solve_convex_nfold(stencil: NFoldStencil, n: int,
                        config: RunConfig = DEFAULT_CONFIG) -> ConvexOutcome:
     """Full pipeline: Graver basis of the n-fold matrix as edge-direction
     cover, augmentation as the linear oracle, then the zonotope driver;
-    the vertex queries run in batches on the basis's projection table
-    when it has one."""
+    the vertex queries run in batches on the basis's projection table."""
     if weights.n != n * stencil.t:
         raise DimensionMismatchError(
             f"objective rows of length {weights.n}, system has {n * stencil.t} variables")
+    b.check_shape(stencil, n)
     basis = nfold_graver(stencil, n, config)
     feas = find_feasible(stencil, n, b, config, basis=basis)
     if feas.status == INFEASIBLE:
@@ -318,7 +322,5 @@ def solve_convex_nfold(stencil: NFoldStencil, n: int,
         return augment_to_optimum(x0, basis, w)
 
     P = projection_table(basis, weights)
-    if P is None:
-        return convex_maximize(lip, weights, basis, objective, config)
     return _search(lip, weights, P, objective, config,
                    functools.partial(_batched_replies, x0, basis, weights, P))

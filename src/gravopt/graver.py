@@ -5,11 +5,12 @@ vectors in ker(A).  It is computed by a Pottier-style normal-form
 completion: seed with the signed lattice kernel basis, close under pair
 sums reduced to conformal normal form, then filter to minimal elements.
 The test oracle, a brute-force box enumeration of the same set, is
-`bruteforce.brute_force_graver`.  A basis also carries an int64 view of
-itself (`GraverBasis.int64_view`), built with numpy straight from its
-elements, a block of rows at a time, when first asked for: in a solve
-that is phase I, and the projection and phase II reuse it.  The Python
-`GraverBasis.supports` is built only when an exact fallback loop runs.
+`bruteforce.brute_force_graver`.  A basis also carries two array views
+of itself, built with numpy straight from its elements, a block of rows
+at a time, when first asked for: `GraverBasis.int64_view`, whose values
+are int64 and bounded, and `GraverBasis.exact_view`, whose values are
+Python ints.  The augmentation kernels and the projection run on either;
+the exact view is built only when a value is past an int64 guard.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ VIEW_BLOCK_ENTRIES = 1 << 16
 
 
 class Int64View(NamedTuple):
-    """A basis as int64 arrays, for phase I (`ipsolve.drive_nonnegative`),
-    the batched phase-II kernel (`ipsolve.augment_batch`) and the
-    projection table (`convexopt.projection_table`).
+    """A basis as arrays, for phase I (`ipsolve.drive_nonnegative`), the
+    batched phase-II kernel (`ipsolve.augment_batch`) and the projection
+    table (`convexopt.projection_table`).  The index arrays are int64;
+    the value arrays vals, supp_vals and neg_mags are int64 in the int64
+    view and hold Python ints (dtype object) in the exact view.
 
     Element i's support is cols/vals[starts[i]:starts[i + 1]], in column
     order.  Row i of supp_cols/supp_vals (|G| x k) holds the same entries
@@ -81,12 +84,16 @@ class Int64View(NamedTuple):
     max_l1: int
 
 
-def _int64_view(elements: tuple, n: int) -> Optional[Int64View]:
+def _int64_view(elements: tuple, n: int,
+                exact: bool = False) -> Optional[Int64View]:
     """The view of the basis `elements` of length n, built a block of
     rows at a time, so the dense |G| x n array is never held; None when
-    there are no elements or a 1-norm reaches INT64_BOUND."""
+    there are no elements.  With `exact` the values are Python ints and
+    nothing is bounded; otherwise they are int64, and the view is None
+    when a 1-norm reaches INT64_BOUND."""
     if not elements:
         return None
+    dtype = object if exact else np.int64
     rows = max(1, VIEW_BLOCK_ENTRIES // max(n, 1))
     elem, cols, vals = [], [], []
     max_l1 = 0
@@ -94,11 +101,12 @@ def _int64_view(elements: tuple, n: int) -> Optional[Int64View]:
         chunk = elements[lo:lo + rows]
         try:
             block = np.fromiter(itertools.chain.from_iterable(chunk),
-                                dtype=np.int64, count=len(chunk) * n)
+                                dtype=dtype, count=len(chunk) * n)
         except OverflowError:  # an entry outside int64
             return None
         block = block.reshape(len(chunk), n)
-        if block.min() <= -INT64_BOUND or block.max() >= INT64_BOUND:
+        if not exact and (block.min() <= -INT64_BOUND
+                          or block.max() >= INT64_BOUND):
             return None
         i, j = np.nonzero(block)
         elem.append(i + lo)
@@ -106,11 +114,11 @@ def _int64_view(elements: tuple, n: int) -> Optional[Int64View]:
         vals.append(block[i, j])
         mags = np.abs(block, out=block)
         # a row sum is at most max|a| * n: summed in int64 below 2^63
-        if int(mags.max()) * n < 1 << 63:
+        if exact or int(mags.max()) * n < 1 << 63:
             max_l1 = max(max_l1, int(mags.sum(axis=1).max()))
         else:
             max_l1 = max(max_l1, *(sum(map(abs, g)) for g in chunk))
-        if max_l1 >= INT64_BOUND:
+        if not exact and max_l1 >= INT64_BOUND:
             return None
     elem, cols, vals = (np.concatenate(a) for a in (elem, cols, vals))
     size = len(elements)
@@ -149,7 +157,7 @@ def _padded(elem: np.ndarray, counts: np.ndarray, values: np.ndarray,
     of element i's entries in order, then fill; elem ascends and counts
     holds its multiplicities."""
     table = np.full((len(counts), max(1, int(counts.max()))), fill,
-                    dtype=np.int64)
+                    dtype=values.dtype)
     first = np.cumsum(counts) - counts
     table[elem, np.arange(len(elem)) - first[elem]] = values
     return table
@@ -189,18 +197,17 @@ class GraverBasis:
         return tuple(v for v in self.elements if _first_nonzero_positive(v))
 
     @functools.cached_property
-    def supports(self) -> tuple:
-        """Per element, the (index, value) pairs of its nonzero entries.
-        N-fold elements are very sparse; the exact augmentation loops run
-        over these instead of the full vectors."""
-        return tuple(tuple((j, a) for j, a in enumerate(g) if a)
-                     for g in self.elements)
-
-    @functools.cached_property
     def int64_view(self) -> Optional[Int64View]:
         """The basis as int64 arrays, built from `elements` on first use;
         None when it is empty or a 1-norm reaches INT64_BOUND."""
         return _int64_view(self.elements, self.n)
+
+    @functools.cached_property
+    def exact_view(self) -> Optional[Int64View]:
+        """The basis as arrays with Python-int values, built from
+        `elements` on first use, when a value is past an int64 guard;
+        None when it is empty."""
+        return _int64_view(self.elements, self.n, exact=True)
 
 
 def _normal_form(v: IntVec, basis: list) -> IntVec:

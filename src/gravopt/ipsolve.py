@@ -1,53 +1,57 @@
 """Linear integer programming by Graver-basis augmentation.
 
-On Python ints both phases run one greedy loop, `_best_steps`: one
-integer score per candidate in canonical basis order, a step along the
-first largest positive score, then re-scores of only the candidates that
-read a moved coordinate.  The phases differ only in the candidates, what
-each score reads, and the score.  Phase II: the improving elements, read
-at their negative entries, scored lam*(w.g) at the longest feasible step
-lam; an improving nonnegative element certifies unboundedness.  Phase I,
-from a lattice solution: every element, read on its support, scored by
-its best gain in the penalty sum_j min(x_j, 0).  The penalty is concave,
-integer and at most zero, so augmentation terminates, and conformal
-decomposability of coset differences makes a local optimum global.
+Both phases are the same greedy: one integer score per candidate in
+canonical basis order, a step along the first largest positive score,
+then re-scores of only the candidates that read a moved coordinate.
+Phase II: the improving elements, read at their negative entries, scored
+lam*(w.g) at the longest feasible step lam; an improving nonnegative
+element certifies unboundedness.  Phase I, from a lattice solution:
+every element, read on its support, scored by its best gain in the
+penalty sum_j min(x_j, 0).  The penalty is concave, integer and at most
+zero, so augmentation terminates, and conformal decomposability of coset
+differences makes a local optimum global.
 
-Both phases normally run on the basis's int64 view
-(`GraverBasis.int64_view`, built on first use: in a solve, by phase I);
-the exact loop, over the Python `GraverBasis.supports`, is their
-fallback.  Phase I scores every element once from the padded support
-table, PENALTY_BLOCK_ENTRIES (element, candidate lam, entry) values at a
-time: the gain sum_j min(x_j + lam*a_j, 0) - min(x_j, 0) at lam = 1 and
-at the integer neighbours of every kink -x_j/a_j, the largest gain with
-the smallest lam among its maximizers, and (0, 0) where no positive entry
-sits at a negative coordinate, as `_best_negpart_step` scores on Python
-ints.  `argmax` takes the first largest gain (the canonical-order
-tie-break), and after a move only the elements whose support meets a
-moved coordinate are re-scored.  Every candidate lam is at most
-max|x| + 1, so each int64 value of a score, and each coordinate a step
-writes, is at most max|g|_1 * (2 max|x| + 1), kept below 2^62: phase I
-starts only when max|x0| is within that bound, and a step that writes a
-coordinate past it sends the whole phase back to the exact loop from x0.
+Each phase is one numpy kernel over a view of the basis
+(`graver.Int64View`).  It runs on the int64 view
+(`GraverBasis.int64_view`, built on first use: in a solve, by phase I)
+while explicit guards keep every value below 2^62, and otherwise on the
+exact view (`GraverBasis.exact_view`), whose values are Python ints: the
+same code with no guard.  The greedy is deterministic, so both views give
+the same outcome.  An empty basis leaves x0 as it is.
 
-Phase II runs one batched kernel on the view: `augment_to_optimum`
-gives it one objective, and `augment_batch` gives it many that share the
-start x0, as the convex driver's vertex queries do.  The kernel takes a
-Q x |G| array of the values w_q.g and steps all Q rows in lockstep, each
-by the greedy rules above: the first nonnegative element with w.g > 0
-(canonical order) certifies unboundedness, `argmax` takes a row's first
-largest score lam*max(w.g, 0) (the canonical-order tie-break), and
+Phase I scores every element once from the padded support table,
+PENALTY_BLOCK_ENTRIES (element, candidate lam, entry) values at a time:
+the gain sum_j min(x_j + lam*a_j, 0) - min(x_j, 0) at lam = 1 and at the
+integer neighbours of every kink -x_j/a_j, the largest gain with the
+smallest lam among its maximizers, and (0, 0) where no positive entry
+sits at a negative coordinate.  `argmax` takes the first largest gain
+(the canonical-order tie-break), and after a move only the elements
+whose support meets a moved coordinate are re-scored.  Every candidate
+lam is at most max|x| + 1, so each value of a score, and each coordinate
+a step writes, is at most max|g|_1 * (2 max|x| + 1).  On the int64 view
+that is kept below 2^62: phase I starts only when max|x0| is within that
+bound, and a step that writes a coordinate past it sends the whole phase
+back to the exact view from x0.
+
+Phase II runs one batched kernel: `augment_to_optimum` gives it one
+objective, and `augment_batch` gives it many that share the start x0, as
+the convex driver's vertex queries do.  The kernel takes a Q x |G| array
+of the values w_q.g and steps all Q rows in lockstep, each by the greedy
+rules above: the first nonnegative element with w.g > 0 (canonical
+order) certifies unboundedness, `argmax` takes a row's first largest
+score lam*max(w.g, 0) (the canonical-order tie-break), and
 lam = score // w.g.  A move is applied through the CSR supports; only
 the (row, element) pairs whose element has a negative entry at a moved
 coordinate and w.g > 0 are re-scored, by flat gathers over the
-negative-entry columns.  Every int64 product stays below 2^62.  The
-values w.g are exact: for one objective max|w| * max|g|_1 is below 2^62,
-and a batch's caller guards its own.  A row starts only when
+negative-entry columns.  On the int64 view every product stays below
+2^62.  The values w.g are exact: for one objective max|w| * max|g|_1 is
+below 2^62, and a batch's caller guards its own.  A row starts only when
 max(x0) <= limit = (2^62 - 1) // max(w.g), and a step may not carry a
 coordinate past limit; for a positive entry a that is checked as
-lam > (limit - x_j) // a, which cannot overflow.  A row whose guard
-trips is re-run on the exact loop from x0 while the other rows keep
-stepping, and a negative entry in x0 sends every row there; the greedy
-is deterministic, so the outcome is the same.
+lam > (limit - x_j) // a, which cannot overflow.  The rows whose guard
+trips are re-run together on the exact view from x0 while the other rows
+keep stepping, and a negative entry in x0 sends every row there, where
+the first step raises InternalInconsistencyError.
 """
 
 from __future__ import annotations
@@ -98,24 +102,6 @@ class SolveOutcome:
         return self.status == OPTIMAL
 
 
-def _best_steps(x: list, supports, reads, score):
-    """The greedy loop of both phases (module docstring), over the list x.
-    score(i) reads x only at the indices of the pairs `reads[i]`; for each
-    yielded (i, score) the caller moves x along `supports[i]`."""
-    scores = [score(i) for i in range(len(supports))]
-    readers: list = [[] for _ in x]
-    for i, pairs in enumerate(reads):
-        for j, _ in pairs:
-            readers[j].append(i)
-    while True:
-        best = max(range(len(scores)), key=scores.__getitem__, default=None)
-        if best is None or scores[best] <= 0:
-            return
-        yield best, scores[best]
-        for i in {i for j, _ in supports[best] for i in readers[j]}:
-            scores[i] = score(i)
-
-
 def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
                        w: Sequence[int]) -> SolveOutcome:
     """Greedy best Graver augmentation from a feasible x0.
@@ -124,50 +110,53 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
     maximizing lam*(w.g), ties broken by canonical basis order; a
     nonnegative improving element is returned as an unboundedness
     certificate instead.  Runs on the basis's int64 view when the guards
-    of the module docstring hold, and on the exact loop otherwise.
+    of the module docstring hold, and on its exact view otherwise.
     """
     if len(w) != len(x0):
         raise DimensionMismatchError("objective length != point length")
     _check_point(x0, basis)
     view = basis.int64_view
-    if (view is None or min(x0) < 0
-            or max(map(abs, w)) * view.max_l1 >= INT64_BOUND):
-        return _augment_exact(x0, basis, w)
-    out = _augment_one(x0, basis, view, w)
-    return _augment_exact(x0, basis, w) if out is None else out
+    if view is None or max(map(abs, w)) * view.max_l1 >= INT64_BOUND:
+        view = basis.exact_view
+    if view is None:  # no elements: x0 is optimal
+        return SolveOutcome.optimal(x0, dot(w, x0))
+    wg = np.add.reduceat(np.array(w, dtype=view.vals.dtype)[view.cols]
+                         * view.vals, view.starts[:-1])
+    return augment_batch(x0, basis, wg[None, :], (w,))[0]
 
 
 def augment_batch(x0: Sequence[int], basis: GraverBasis, wg: np.ndarray,
                   objectives: Sequence[Sequence[int]]) -> list:
     """`augment_to_optimum(x0, basis, w)` for every w in `objectives`.
 
-    Row q of the int64 array wg holds objectives[q].g for every basis
-    element g, in canonical order; the caller computes it exactly.  The
-    rows step in lockstep on the int64 view, and a row whose guard trips
-    is re-run on the exact loop (module docstring).
+    Row q of wg holds objectives[q].g for every basis element g, in
+    canonical order; the caller computes it exactly, in int64 or on
+    Python ints (dtype object).  The int64 rows step in lockstep on the
+    int64 view, and the rows whose guard trips are re-run on the exact
+    view (module docstring).
     """
     _check_point(x0, basis)
+    if not basis.elements:
+        return [SolveOutcome.optimal(x0, dot(w, x0)) for w in objectives]
     view = basis.int64_view
-    if view is None or min(x0) < 0:
-        outs = [None] * len(objectives)
-    else:
-        outs = _augment_rows(x0, basis, view, wg, objectives)
-    return [_augment_exact(x0, basis, w) if out is None else out
-            for out, w in zip(outs, objectives)]
+    if wg.dtype == object or view is None or min(x0) < 0:
+        return _augment_rows(x0, basis, basis.exact_view,
+                             wg.astype(object, copy=False), objectives)
+    outs = _augment_rows(x0, basis, view, wg, objectives)
+    redo = [q for q, out in enumerate(outs) if out is None]
+    if redo:
+        again = _augment_rows(x0, basis, basis.exact_view,
+                              wg[redo].astype(object),
+                              [objectives[q] for q in redo])
+        for q, out in zip(redo, again):
+            outs[q] = out
+    return outs
 
 
 def _check_point(x0: Sequence[int], basis: GraverBasis) -> None:
     if len(x0) != basis.n:
         raise DimensionMismatchError(
             f"point of length {len(x0)}, basis has {basis.n} columns")
-
-
-def _augment_one(x0: Sequence[int], basis: GraverBasis, view: Int64View,
-                 w: Sequence[int]) -> Optional[SolveOutcome]:
-    """The int64 kernel on the one objective w; None if a guard trips."""
-    wg = np.add.reduceat(np.array(w, dtype=np.int64)[view.cols] * view.vals,
-                         view.starts[:-1])
-    return _augment_rows(x0, basis, view, wg[None, :], (w,))[0]
 
 
 def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -194,12 +183,14 @@ def _gains(x: np.ndarray, view: Int64View, wg: np.ndarray,
 
 def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
                   wg: np.ndarray, objectives: Sequence[Sequence[int]]) -> list:
-    """The batched int64 kernel (module docstring): entry q is row q's
-    outcome, or None where a guard tripped.  x0 is nonnegative."""
+    """The batched phase-II kernel (module docstring) on the view, whose
+    value dtype wg shares: entry q is row q's outcome, or None where an
+    int64 guard tripped.  On the int64 view x0 is nonnegative."""
+    exact = wg.dtype == object
     outs: list = [None] * len(wg)
     ray = wg[:, view.nonneg] > 0
     tops = wg.max(axis=1).tolist()
-    high = max(x0)
+    high, low = max(x0), min(x0)
     live = []
     for q, top in enumerate(tops):
         if ray[q].any():
@@ -207,14 +198,17 @@ def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
                 basis.elements[view.nonneg[ray[q].argmax()]])
         elif top <= 0:
             outs[q] = SolveOutcome.optimal(x0, dot(objectives[q], x0))
-        elif high <= (INT64_BOUND - 1) // top:
+        elif exact or high <= (INT64_BOUND - 1) // top:
             live.append(q)
     if not live:
         return outs
     ids = np.array(live)
     wg = wg[ids]
-    limit = (INT64_BOUND - 1) // wg.max(axis=1)
-    x = np.tile(np.array([*x0, INT64_BOUND], dtype=np.int64), (len(ids), 1))
+    limit = (INT64_BOUND - 1) // wg.max(axis=1)  # read on the int64 view
+    # the sentinel stays above every step length x_j // m: on the exact
+    # view it follows the largest coordinate
+    sentinel = max(high, 0) if exact else INT64_BOUND
+    x = np.tile(np.array([*x0, sentinel], dtype=wg.dtype), (len(ids), 1))
     n, size = basis.n, wg.shape[1]
     hot = wg > 0
     scores = np.zeros_like(wg)
@@ -245,18 +239,22 @@ def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
         steps = np.repeat(lam, count)
         flat = rows * (n + 1) + cols
         old = x.take(flat)
-        # x_j + lam*a > limit, for a > 0, without forming lam*a
-        up = np.flatnonzero(vals > 0)
-        over = up[steps[up] > (limit[rows[up]] - old[up]) // vals[up]]
         tripped = np.zeros(len(ids), dtype=bool)
-        tripped[rows[over]] = True
+        if not exact:
+            # x_j + lam*a > limit, for a > 0, without forming lam*a
+            up = np.flatnonzero(vals > 0)
+            over = up[steps[up] > (limit[rows[up]] - old[up]) // vals[up]]
+            tripped[rows[over]] = True
         moved = ~tripped[rows]
         rows, cols, flat = rows[moved], cols[moved], flat[moved]
         new = old[moved] + steps[moved] * vals[moved]
-        if (new < 0).any():
+        np.put(x, flat, new)
+        # a negative x0 (exact view only) is checked whole, as it may stay
+        if (new < 0).any() or (low < 0 and (x[:, :n] < 0).any()):
             raise InternalInconsistencyError(
                 "augmentation left the nonnegative orthant")
-        np.put(x, flat, new)
+        if exact:
+            x[:, n] = max(x[0, n], new.max())
         lo = view.reader_starts[cols]
         count = view.reader_starts[cols + 1] - lo
         mark = np.zeros_like(hot)
@@ -267,79 +265,17 @@ def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
         np.put(scores, pairs, _gains(x, view, wg, pairs))
 
 
-def _augment_exact(x0: Sequence[int], basis: GraverBasis,
-                   w: Sequence[int]) -> SolveOutcome:
-    """Phase II on Python ints, through `_best_steps`."""
-    x = list(x0)
-    supps, wgs, negs = [], [], []
-    for g, supp in zip(basis.elements, basis.supports):
-        wg = sum(w[j] * a for j, a in supp)
-        if wg <= 0:
-            continue
-        neg = [(j, -a) for j, a in supp if a < 0]
-        if not neg:
-            return SolveOutcome.unbounded(g)
-        supps.append(supp)
-        wgs.append(wg)
-        negs.append(neg)
-
-    def step_gain(i):
-        # lam*(w.g) at the largest lam >= 0 with x + lam*g >= 0
-        lam = None
-        for j, m in negs[i]:
-            cap = x[j] // m
-            if lam is None or cap < lam:
-                lam = cap
-                if lam == 0:
-                    break
-        return lam * wgs[i]
-
-    for i, gain in _best_steps(x, supps, negs, step_gain):
-        lam = gain // wgs[i]
-        for j, a in supps[i]:
-            x[j] += lam * a
-        if min(x) < 0:
-            raise InternalInconsistencyError(
-                "augmentation left the nonnegative orthant")
-    return SolveOutcome.optimal(tuple(x), dot(w, x))
-
-
-def _best_negpart_step(x: Sequence[int], supp):
-    """Best integer lam >= 1 for the penalty sum_j min(x_j, 0) along the
-    sparse element supp.
-
-    The gain is concave piecewise linear in lam with kinks where a
-    coordinate crosses zero, so it suffices to test lam=1 and the integer
-    neighbors of every kink.  Returns (lam, gain) with gain maximal and
-    lam smallest among maximizers, or (0, 0) when nothing improves.
-    """
-    # only a positive entry at a negative coordinate can gain
-    if not any(a > 0 and x[j] < 0 for j, a in supp):
-        return 0, 0
-    candidates = {1}
-    for j, a in supp:
-        q, rem = divmod(-x[j], a)
-        if q >= 1:
-            candidates.add(q)
-        if rem and q + 1 >= 1:
-            candidates.add(q + 1)
-    best_lam, best_gain = 0, 0
-    for lam in sorted(candidates):
-        gain = sum(min(x[j] + lam * a, 0) - min(x[j], 0) for j, a in supp)
-        if gain > best_gain:
-            best_lam, best_gain = lam, gain
-    return best_lam, best_gain
-
-
 def drive_nonnegative(x0: Sequence[int], basis: GraverBasis) -> tuple:
     """Maximize sum_j min(x_j, 0) over the lattice coset of x0 by greedy
     best augmentation.  Returns the final point; nonnegative iff the
     coset meets the nonnegative orthant.  Runs on the basis's int64 view
-    when the guard of the module docstring holds, and on the exact loop
+    when the guard of the module docstring holds, and on its exact view
     otherwise."""
+    if not basis.elements:
+        return tuple(x0)
     view = basis.int64_view
-    x = None if view is None else _drive_int64(x0, view)
-    return _drive_exact(x0, basis) if x is None else x
+    x = None if view is None else _drive(x0, view)
+    return _drive(x0, basis.exact_view) if x is None else x
 
 
 def _penalty_limit(view: Int64View) -> int:
@@ -347,15 +283,17 @@ def _penalty_limit(view: Int64View) -> int:
     return ((INT64_BOUND - 1) // view.max_l1 - 1) // 2
 
 
-def _drive_int64(x0: Sequence[int], view: Int64View) -> Optional[tuple]:
-    """Phase I's greedy on the int64 view (module docstring); None if
-    max|x0|, or a coordinate a step writes, is past the guard."""
+def _drive(x0: Sequence[int], view: Int64View) -> Optional[tuple]:
+    """Phase I's greedy on the view (module docstring); on the int64 view
+    None if max|x0|, or a coordinate a step writes, is past the guard."""
     n = len(x0)
-    limit = _penalty_limit(view)
-    if max(map(abs, x0), default=0) > limit:
+    exact = view.vals.dtype == object
+    limit = None if exact else _penalty_limit(view)
+    if not exact and max(map(abs, x0), default=0) > limit:
         return None
-    x = np.array([*x0, 0], dtype=np.int64)  # the sentinel column stays 0
-    gain = np.zeros(len(view.supp_cols), dtype=np.int64)
+    # the sentinel column stays 0
+    x = np.array([*x0, 0], dtype=view.vals.dtype)
+    gain = np.zeros(len(view.supp_cols), dtype=view.vals.dtype)
     lam = np.zeros_like(gain)
     _penalty_scores(x, view, np.arange(len(gain)), gain, lam)
     while True:
@@ -365,7 +303,7 @@ def _drive_int64(x0: Sequence[int], view: Int64View) -> Optional[tuple]:
         entries = slice(view.starts[best], view.starts[best + 1])
         cols = view.cols[entries]
         moved = x[cols] + lam[best] * view.vals[entries]
-        if np.abs(moved).max() > limit:
+        if not exact and np.abs(moved).max() > limit:
             return None
         x[cols] = moved
         lo = view.meet_starts[cols]
@@ -376,8 +314,8 @@ def _drive_int64(x0: Sequence[int], view: Int64View) -> Optional[tuple]:
 
 def _penalty_scores(x: np.ndarray, view: Int64View, elems: np.ndarray,
                     gain: np.ndarray, lam: np.ndarray) -> None:
-    """Write `_best_negpart_step(x, g)` for each element g of `elems` to
-    (lam, gain), a block of elements at a time."""
+    """Write the best penalty step (module docstring) of each element of
+    `elems` to (lam, gain), a block of elements at a time."""
     cols, vals = view.supp_cols[elems], view.supp_vals[elems]
     xs = x[cols]
     # only a positive entry at a negative coordinate can gain
@@ -394,11 +332,16 @@ def _penalty_scores(x: np.ndarray, view: Int64View, elems: np.ndarray,
 
 
 def _best_penalty_steps(xs: np.ndarray, vals: np.ndarray) -> tuple:
-    """(gain, lam) of `_best_negpart_step` for each row of the padded
+    """(gain, lam) of the best penalty step for each row of the padded
     supports vals, read at the coordinates xs: every row's gain is tried
     at lam = 1 and at the integer neighbours q and q + 1 of the kinks
-    q + rem/a = -x_j/a, those below 1 raised to 1."""
-    q, rem = np.divmod(-xs, vals)
+    q + rem/a = -x_j/a, those below 1 raised to 1; the largest gain
+    takes the smallest lam among its maximizers, and a row that does not
+    gain gets (0, 0)."""
+    if xs.dtype == object:  # np.divmod has no object loop
+        q, rem = -xs // vals, -xs % vals
+    else:
+        q, rem = np.divmod(-xs, vals)
     lams = [np.ones((len(xs), 1), dtype=np.int64), np.maximum(q, 1)]
     if rem.any():  # never with unit entries
         lams.append(np.maximum(q + (rem != 0), 1))
@@ -407,25 +350,9 @@ def _best_penalty_steps(xs: np.ndarray, vals: np.ndarray) -> tuple:
                        0).sum(axis=2) - np.minimum(xs, 0).sum(axis=1)[:, None]
     top = gains.max(axis=1)
     # the smallest lam among the maximizers
-    low = np.where(gains == top[:, None], lams, INT64_BOUND).min(axis=1)
+    low = np.where(gains == top[:, None], lams, lams.max()).min(axis=1)
     improves = top > 0
     return np.where(improves, top, 0), np.where(improves, low, 0)
-
-
-def _drive_exact(x0: Sequence[int], basis: GraverBasis) -> tuple:
-    """Phase I on Python ints, through `_best_steps`."""
-    x = list(x0)
-    supps = basis.supports
-    lams = [0] * len(supps)
-
-    def score(i):
-        lams[i], gain = _best_negpart_step(x, supps[i])
-        return gain
-
-    for i, _ in _best_steps(x, supps, supps, score):
-        for j, a in supps[i]:
-            x[j] += lams[i] * a
-    return tuple(x)
 
 
 def find_feasible(stencil: NFoldStencil, n: int, b: NFoldRhs,
@@ -452,6 +379,7 @@ def solve_nfold_ip(stencil: NFoldStencil, n: int, w: Sequence[int],
                    config: RunConfig = DEFAULT_CONFIG) -> SolveOutcome:
     """The linear integer programming oracle for n-fold systems."""
     _check_objective(w, n * stencil.t)
+    b.check_shape(stencil, n)
     basis = nfold_graver(stencil, n, config)
     feas = find_feasible(stencil, n, b, config, basis=basis)
     if not feas.is_optimal:

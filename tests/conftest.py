@@ -14,7 +14,8 @@ from gravopt.config import DEFAULT_CONFIG
 from gravopt.convexopt import MaxLinearObjective
 from gravopt.errors import DimensionMismatchError, InternalInconsistencyError
 from gravopt.graver import INT64_BOUND, GraverBasis, Int64View, conformal_leq
-from gravopt.intlinalg import IntMat, vec_sub
+from gravopt.intlinalg import IntMat, dot, vec_sub
+from gravopt.ipsolve import SolveOutcome
 
 
 # -- vector and matrix helpers only the tests use ---------------------------
@@ -119,15 +120,122 @@ def densify_echelon(A: IntMat, echelon) -> tuple:
             [[c.get(i, 0) for i in range(A.cols)] for c in U], pivots)
 
 
-def supports_int64_view(supports: tuple, n: int):
-    """The int64 view built in Python from a basis's `supports`: the
-    oracle for `graver._int64_view`, which builds it with numpy from the
-    elements."""
+def basis_supports(basis: GraverBasis) -> tuple:
+    """Per element, the (index, value) pairs of its nonzero entries."""
+    return tuple(tuple((j, a) for j, a in enumerate(g) if a)
+                 for g in basis.elements)
+
+
+def _best_steps(x: list, supports, reads, score):
+    """The greedy loop of both exact oracles below, over the list x.
+    score(i) reads x only at the indices of the pairs `reads[i]`; for each
+    yielded (i, score) the caller moves x along `supports[i]`."""
+    scores = [score(i) for i in range(len(supports))]
+    readers: list = [[] for _ in x]
+    for i, pairs in enumerate(reads):
+        for j, _ in pairs:
+            readers[j].append(i)
+    while True:
+        best = max(range(len(scores)), key=scores.__getitem__, default=None)
+        if best is None or scores[best] <= 0:
+            return
+        yield best, scores[best]
+        for i in {i for j, _ in supports[best] for i in readers[j]}:
+            scores[i] = score(i)
+
+
+def augment_exact(x0, basis: GraverBasis, w) -> SolveOutcome:
+    """Phase II on Python ints, one element at a time: the oracle for
+    `ipsolve.augment_to_optimum` and `ipsolve.augment_batch`."""
+    x = list(x0)
+    supps, wgs, negs = [], [], []
+    for g, supp in zip(basis.elements, basis_supports(basis)):
+        wg = sum(w[j] * a for j, a in supp)
+        if wg <= 0:
+            continue
+        neg = [(j, -a) for j, a in supp if a < 0]
+        if not neg:
+            return SolveOutcome.unbounded(g)
+        supps.append(supp)
+        wgs.append(wg)
+        negs.append(neg)
+
+    def step_gain(i):
+        # lam*(w.g) at the largest lam >= 0 with x + lam*g >= 0
+        lam = None
+        for j, m in negs[i]:
+            cap = x[j] // m
+            if lam is None or cap < lam:
+                lam = cap
+                if lam == 0:
+                    break
+        return lam * wgs[i]
+
+    for i, gain in _best_steps(x, supps, negs, step_gain):
+        lam = gain // wgs[i]
+        for j, a in supps[i]:
+            x[j] += lam * a
+        if min(x) < 0:
+            raise InternalInconsistencyError(
+                "augmentation left the nonnegative orthant")
+    return SolveOutcome.optimal(tuple(x), dot(w, x))
+
+
+def best_negpart_step(x, supp):
+    """Best integer lam >= 1 for the penalty sum_j min(x_j, 0) along the
+    sparse element supp.
+
+    The gain is concave piecewise linear in lam with kinks where a
+    coordinate crosses zero, so it suffices to test lam=1 and the integer
+    neighbors of every kink.  Returns (lam, gain) with gain maximal and
+    lam smallest among maximizers, or (0, 0) when nothing improves.
+    """
+    # only a positive entry at a negative coordinate can gain
+    if not any(a > 0 and x[j] < 0 for j, a in supp):
+        return 0, 0
+    candidates = {1}
+    for j, a in supp:
+        q, rem = divmod(-x[j], a)
+        if q >= 1:
+            candidates.add(q)
+        if rem and q + 1 >= 1:
+            candidates.add(q + 1)
+    best_lam, best_gain = 0, 0
+    for lam in sorted(candidates):
+        gain = sum(min(x[j] + lam * a, 0) - min(x[j], 0) for j, a in supp)
+        if gain > best_gain:
+            best_lam, best_gain = lam, gain
+    return best_lam, best_gain
+
+
+def drive_exact(x0, basis: GraverBasis) -> tuple:
+    """Phase I on Python ints, one element at a time: the oracle for
+    `ipsolve.drive_nonnegative`."""
+    x = list(x0)
+    supps = basis_supports(basis)
+    lams = [0] * len(supps)
+
+    def score(i):
+        lams[i], gain = best_negpart_step(x, supps[i])
+        return gain
+
+    for i, _ in _best_steps(x, supps, supps, score):
+        for j, a in supps[i]:
+            x[j] += lams[i] * a
+    return tuple(x)
+
+
+def supports_int64_view(supports: tuple, n: int, exact: bool = False):
+    """The view built in Python from a basis's supports
+    (`basis_supports`): the oracle for `graver._int64_view`, which builds
+    it with numpy from the elements.  With `exact` the values are Python
+    ints and unbounded."""
     if not supports:
         return None
     max_l1 = max(sum(abs(a) for _, a in s) for s in supports)
-    if max_l1 >= INT64_BOUND:
+    if max_l1 >= INT64_BOUND and not exact:
         return None
+    values = object if exact else np.int64
     negs = [[(j, -a) for j, a in s if a < 0] for s in supports]
 
     def index(lists):
@@ -142,7 +250,7 @@ def supports_int64_view(supports: tuple, n: int):
         k = max(1, max(map(len, lists)))
         rows = [(list(pairs) + [(n, 1)] * k)[:k] for pairs in lists]
         return (np.array([[j for j, _ in r] for r in rows], dtype=np.int64),
-                np.array([[a for _, a in r] for r in rows], dtype=np.int64))
+                np.array([[a for _, a in r] for r in rows], dtype=values))
 
     supp_cols, supp_vals = padded(supports)
     neg_cols, neg_mags = padded(negs)
@@ -150,7 +258,7 @@ def supports_int64_view(supports: tuple, n: int):
     reader_starts, readers = index(negs)
     return Int64View(
         cols=np.array([j for s in supports for j, _ in s], dtype=np.int64),
-        vals=np.array([a for s in supports for _, a in s], dtype=np.int64),
+        vals=np.array([a for s in supports for _, a in s], dtype=values),
         starts=np.cumsum([0] + [len(s) for s in supports], dtype=np.int64),
         supp_cols=supp_cols, supp_vals=supp_vals,
         meet_starts=meet_starts, meets=meets,

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from gravopt.apps import (MultiwayInstance, PackingInstance,
                           PartitionInstance, build_multiway, build_packing,
-                          build_partition, build_threeway, cluster_variance,
-                          two_way_margin_matrix)
+                          build_partition, build_threeway, cluster_variance)
 from gravopt.errors import DimensionMismatchError, InfeasibleInstanceError
 from gravopt.intlinalg import mat_vec
 from gravopt.nfold import nfold_matrix
@@ -29,8 +28,15 @@ def _margins(tab, p, q, n):
 
 
 def test_two_way_margin_matrix():
-    M = two_way_margin_matrix(2, 2)
+    # the per-layer rows of a 2 x 2 x n table: row sums, then column sums
+    stencil, _, _ = build_threeway(2, 2, 1, [[0, 0], [0, 0]], [[0], [0]],
+                                   [[0], [0]])
+    M = stencil.A2
     assert M.data == ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1))
+    # negative margins are not rejected here: the solver finds them
+    # infeasible
+    _, rhs, _ = build_threeway(1, 1, 1, [[-1]], [[-1]], [[-1]])
+    assert rhs.b0 == (-1,) and rhs.layer_rhs == ((-1, -1),)
 
 
 @settings(max_examples=40, deadline=None)

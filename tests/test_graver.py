@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (col, conformal_decompose, random_matrix,
-                      supports_int64_view, vec_add)
+from conftest import (basis_supports, col, conformal_decompose,
+                      random_matrix, supports_int64_view, vec_add)
 from gravopt import graver
 from gravopt.bruteforce import (EnumBudget, brute_force_graver,
                                 enumerate_feasible)
@@ -172,18 +172,23 @@ def test_graver_basis_is_hashable_value_object():
 
 
 def _assert_same_view(basis):
-    view = graver._int64_view(basis.elements, basis.n)
-    oracle = supports_int64_view(basis.supports, basis.n)
-    if oracle is None:
-        assert view is None
-        return
-    for field, want in zip(oracle._fields, oracle):
-        got = getattr(view, field)
-        if field == "max_l1":
-            assert type(got) is int and got == want
-        else:
+    """Both views of the basis equal the Python oracle's; an exact view's
+    values are Python ints."""
+    for exact in (False, True):
+        view = graver._int64_view(basis.elements, basis.n, exact)
+        oracle = supports_int64_view(basis_supports(basis), basis.n, exact)
+        if oracle is None:
+            assert view is None
+            continue
+        for field, want in zip(oracle._fields, oracle):
+            got = getattr(view, field)
+            if field == "max_l1":
+                assert type(got) is int and got == want
+                continue
             assert got.dtype == want.dtype and np.array_equal(got, want), \
                 field
+            if got.dtype == object:
+                assert all(type(a) is int for a in got.flat), field
 
 
 def test_int64_view_matches_the_python_oracle(monkeypatch):
@@ -221,5 +226,9 @@ def test_int64_view_guards_its_entries_and_one_norms():
         basis = GraverBasis(elements, IntMat(0, len(elements[0]), ()))
         view = graver._int64_view(elements, basis.n)
         assert (view and view.max_l1) == max_l1, elements
+        # the exact view bounds nothing
+        exact = graver._int64_view(elements, basis.n, exact=True)
+        assert exact.max_l1 == sum(map(abs, elements[0])), elements
         _assert_same_view(basis)
     assert graver._int64_view((), 3) is None
+    assert graver._int64_view((), 3, exact=True) is None

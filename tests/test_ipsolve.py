@@ -1,9 +1,10 @@
+import copy
 import random
 
 import numpy as np
 import pytest
 
-from conftest import random_matrix
+from conftest import augment_exact, drive_exact, random_matrix
 from gravopt import cli, convexopt, graver, ipsolve
 from gravopt.apps import build_threeway
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
@@ -12,7 +13,7 @@ from gravopt.convexopt import (UNBOUNDED_POLYHEDRON, MaxLinearObjective,
                                SquaredNormObjective, solve_convex_nfold)
 from gravopt.errors import (DimensionMismatchError,
                             InternalInconsistencyError)
-from gravopt.graver import INT64_BOUND, GraverBasis, graver_basis
+from gravopt.graver import INT64_BOUND, GraverBasis, Int64View, graver_basis
 from gravopt.intlinalg import IntMat, dot, mat_vec, solve_integer
 from gravopt.ipsolve import (INFEASIBLE, OPTIMAL, UNBOUNDED, SolveOutcome,
                              augment_to_optimum, drive_nonnegative,
@@ -44,7 +45,6 @@ def test_augmentation_rejects_a_point_of_the_wrong_length(monkeypatch):
         raise AssertionError("augmented a point of the wrong length")
 
     monkeypatch.setattr(ipsolve, "_augment_rows", loop)
-    monkeypatch.setattr(ipsolve, "_augment_exact", loop)
     basis = graver_basis(IntMat(1, 2, ((1, 1),)))
     for x0, w in (((0, 2, 5), (1, 0, 7)), ((2,), (1,))):
         with pytest.raises(DimensionMismatchError,
@@ -184,7 +184,7 @@ def _transport_2x2(rng, n, d):
 
 def _assert_paths_agree(x0, basis, w):
     out = augment_to_optimum(x0, basis, w)
-    assert out == ipsolve._augment_exact(x0, basis, w), (x0, w)
+    assert out == augment_exact(x0, basis, w), (x0, w)
     return out
 
 
@@ -213,7 +213,7 @@ def test_int64_and_exact_paths_agree():
 
 def test_int64_and_exact_paths_agree_on_every_vertex_query(monkeypatch):
     calls = []
-    batch, exact = convexopt.augment_batch, ipsolve._augment_exact
+    batch, exact = convexopt.augment_batch, augment_exact
 
     def both(x0, basis, wg, objectives):
         replies = batch(x0, basis, wg, objectives)
@@ -223,7 +223,7 @@ def test_int64_and_exact_paths_agree_on_every_vertex_query(monkeypatch):
         return replies
 
     monkeypatch.setattr(convexopt, "augment_batch", both)
-    reruns = _spy(monkeypatch, ipsolve, "_augment_exact")
+    kernels = _kernel_spy(monkeypatch, "_augment_rows")
     stencil, rhs, weights = _transport_2x2(random.Random(1010), 8, 3)
     maxlin = MaxLinearObjective(((1, -1, 0), (0, 2, 1)))
     for objective in (SquaredNormObjective(), maxlin):
@@ -231,7 +231,8 @@ def test_int64_and_exact_paths_agree_on_every_vertex_query(monkeypatch):
         out = solve_convex_nfold(stencil, 8, weights, rhs, objective)
         assert out.status == OPTIMAL
         assert len(calls) == out.stats.oracle_queries - 1 > 500
-    assert not reruns  # every reply came from the int64 kernel
+    # every reply came from the int64 view
+    assert kernels and not any(exact for exact, _ in kernels)
 
 
 def _wg(basis, objectives):
@@ -258,8 +259,10 @@ def test_batched_kernel_matches_the_exact_loop_row_by_row():
         wg = _wg(basis, objectives)
         outs = ipsolve._augment_rows(x0, basis, view, wg, objectives)
         assert outs == ipsolve.augment_batch(x0, basis, wg, objectives)
+        assert outs == ipsolve._augment_rows(
+            x0, basis, basis.exact_view, wg.astype(object), objectives)
         for w, row, out in zip(objectives, wg, outs):
-            assert out == ipsolve._augment_exact(x0, basis, w), (x0, w)
+            assert out == augment_exact(x0, basis, w), (x0, w)
             if out.status == UNBOUNDED:
                 seen["unbounded"] += 1
             elif row.max() <= 0:
@@ -284,13 +287,14 @@ def test_batched_kernel_trips_one_row_while_the_others_step(monkeypatch):
                   (1, 0, 0, 0, 0, 1)]
     wg = _wg(basis, objectives)
     outs = ipsolve._augment_rows(x0, basis, basis.int64_view, wg, objectives)
-    exact = [ipsolve._augment_exact(x0, basis, w) for w in objectives]
+    exact = [augment_exact(x0, basis, w) for w in objectives]
     assert outs == [None] + exact[1:4] + [None]
     assert exact[0] == SolveOutcome.optimal((2 * k, 0, 3, 1, 4, 2), 2 * k)
     assert [out.x[2:].count(0) for out in outs[1:4]] == [2, 2, 0]
-    reruns = _spy(monkeypatch, ipsolve, "_augment_exact")
+    kernels = _kernel_spy(monkeypatch, "_augment_rows")
     assert ipsolve.augment_batch(x0, basis, wg, objectives) == exact
-    assert reruns == [exact[0], exact[4]]
+    # rows 0 and 4 are re-run together on the exact view
+    assert kernels == [(False, outs), (True, [exact[0], exact[4]])]
 
 
 def _per_vertex(stencil, n, weights, rhs, objective):
@@ -335,25 +339,100 @@ def test_batched_vertex_queries_match_the_per_vertex_loop(monkeypatch,
     assert len(chunks) == 1
 
 
-def test_chunk_guard_sends_large_certificates_to_the_single_query_path(
+def test_chunk_guard_batches_large_certificates_on_python_ints(
         monkeypatch):
     # scaled weights put |c|_1 * max|P| past 2^62 for some certificates
-    # of the solve only: a chunk holding one is answered query by query
-    # (here by the exact loop), the other chunks are batched
+    # of the solve only: a chunk holding one is batched on Python ints,
+    # the other chunks in int64
     monkeypatch.setattr(convexopt, "CHUNK_ENTRIES", 1)
-    chunks = _spy(monkeypatch, convexopt, "augment_batch")
+    chunks = []
+    batch = convexopt.augment_batch
+
+    def spy(x0, basis, wg, objectives):
+        chunks.append(wg.dtype)
+        return batch(x0, basis, wg, objectives)
+
+    monkeypatch.setattr(convexopt, "augment_batch", spy)
     single = _spy(monkeypatch, convexopt, "augment_to_optimum")
     stencil, rhs, weights = _transport_2x2(random.Random(85), 8, 2)
     scale = 1 << 25
     big = ObjectiveWeights.make([[scale * a for a in row]
                                  for row in weights.rows])
     out = solve_convex_nfold(stencil, 8, big, rhs, SquaredNormObjective())
-    # of 6 chunks, 3 are batched; the probe and 3 x 8 queries are not
-    assert len(chunks) == 3 and len(single) == 25
+    # of 6 chunks, 3 are batched in int64 and 3 on Python ints; only the
+    # probe is a single query
+    assert sorted(map(str, chunks)) == ["int64"] * 3 + ["object"] * 3
+    assert len(single) == 1
     assert out == _per_vertex(stencil, 8, big, rhs, SquaredNormObjective())
     small = solve_convex_nfold(stencil, 8, weights, rhs,
                                SquaredNormObjective())
     assert out.x == small.x and out.z == tuple(scale * a for a in small.z)
+
+
+def test_empty_basis_solves_at_its_one_point():
+    # a 1 x 1 x n table is fixed by its margins: the basis is empty, the
+    # projection table has no rows, and the one vertex query returns x0
+    stencil, rhs, _ = build_threeway(1, 1, 3, [[6]], [[1, 2, 3]], [[1, 2, 3]])
+    basis = nfold_graver(stencil, 3)
+    weights = ObjectiveWeights.make([(1, 2, 3), (2, 1, 3)])
+    assert len(basis) == 0
+    assert convexopt.projection_table(basis, weights).shape == (0, 2)
+    out = solve_convex_nfold(stencil, 3, weights, rhs, SquaredNormObjective())
+    assert out.x == (1, 2, 3) and out.z == (14, 13)
+    assert out.stats == SearchStats(oracle_queries=2, identity_checks=1,
+                                    vertices=1)
+    assert augment_to_optimum((1, 2, 3), basis, (1, 0, 0)) == \
+        SolveOutcome.optimal((1, 2, 3), 1)
+
+
+SCALES = (1 << 61, 1 << 70, 10 ** 30)
+
+
+def test_exact_view_kernels_match_the_oracles_past_every_guard():
+    # both kernels on the exact view, against the one-element-at-a-time
+    # oracles, with starts, objectives or basis entries scaled past every
+    # int64 guard
+    rng = random.Random(103)
+    bases = [graver_basis(random_matrix(rng, max_rows=2, max_cols=4))
+             for _ in range(25)]
+    bases += [nfold_graver(TRANSPORT_FIBER, n) for n in (2, 4, 6)]
+    bases += [graver_basis(IntMat(1, 3, ((1, -s, 0),))) for s in SCALES]
+    seen = {"stepped": 0, "unbounded": 0, "phase1": 0, "stuck": 0}
+    for basis in filter(len, bases):
+        n = basis.n
+        for s in SCALES:
+            x0 = tuple(s * rng.randint(0, 3) + rng.randint(0, 3)
+                       for _ in range(n))
+            objectives = [tuple(rng.randint(-3, 3) * rng.choice((1, s))
+                                for _ in range(n)) for _ in range(4)]
+            wg = np.array([[dot(w, g) for g in basis.elements]
+                           for w in objectives], dtype=object)
+            want = [augment_exact(x0, basis, w) for w in objectives]
+            assert ipsolve._augment_rows(x0, basis, basis.exact_view, wg,
+                                         objectives) == want
+            assert [augment_to_optimum(x0, basis, w)
+                    for w in objectives] == want
+            for out in want:
+                seen["unbounded"] += out.status == UNBOUNDED
+                seen["stepped"] += out.status == OPTIMAL and out.x != x0
+            start = tuple(s * rng.randint(-3, 2) + rng.randint(-3, 3)
+                          for _ in range(n))
+            x = drive_exact(start, basis)
+            assert ipsolve._drive(start, basis.exact_view) == x, start
+            assert drive_nonnegative(start, basis) == x
+            seen["phase1"] += x != start
+            seen["stuck"] += min(x) < 0
+    assert min(seen.values()) >= 20, seen
+    # the first step carries x1 past max(x0); the sentinel must follow it,
+    # or the next step's element with one negative entry, at x1, reads
+    # the stale sentinel in its padded slot and steps too short
+    basis = graver_basis(IntMat(1, 5, ((-2, -2, 1, -3, -1),)))
+    x0, w = (0, 1, 1, 2, 1), (0, -3, 0, -1, -1)
+    wg = np.array([[dot(w, g) for g in basis.elements]], dtype=object)
+    want = augment_exact(x0, basis, w)
+    assert want.x == (6, 0, 4, 0, 0)
+    assert ipsolve._augment_rows(x0, basis, basis.exact_view, wg,
+                                 [w]) == [want]
 
 
 def _spy(monkeypatch, module, name):
@@ -369,40 +448,58 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
+def _kernel_spy(monkeypatch, name):
+    """Records (on the exact view?, outcome) for each call of the ipsolve
+    kernel `name`; a call that raises records outcome None."""
+    calls = []
+    fn = getattr(ipsolve, name)
+
+    def spy(x0, *args):
+        view = next(a for a in args if isinstance(a, Int64View))
+        out = None
+        try:
+            out = fn(x0, *args)
+            return out
+        finally:
+            # a copy: augment_batch fills in the rows a guard tripped
+            calls.append((view.vals.dtype == object, copy.copy(out)))
+
+    monkeypatch.setattr(ipsolve, name, spy)
+    return calls
+
+
 def test_int64_guards_fall_back_to_the_exact_loop(monkeypatch):
-    fast = _spy(monkeypatch, ipsolve, "_augment_one")
-    exact = _spy(monkeypatch, ipsolve, "_augment_exact")
+    kernels = _kernel_spy(monkeypatch, "_augment_rows")
     # x1 + x2 = b: max |g|_1 = 2, and w = (1, 0) gives max w.g = 1, so
     # x0 may reach 2^62 - 1 on the int64 path
     segment = graver_basis(IntMat(1, 2, ((1, 1),)))
     top = INT64_BOUND - 1
     out = augment_to_optimum((0, top), segment, (1, 0))
     assert out.x == (top, 0) and out.value == top
-    assert len(fast) == 1 and fast[0] == out and not exact
+    assert kernels == [(False, [out])]
     # an entry of x0 past the bound, then a weight past 2^62 / max |g|_1
-    for x0, w in (((0, INT64_BOUND), (1, 0)),
-                  ((0, 3), (INT64_BOUND // 2, 0))):
-        fast.clear()
-        exact.clear()
+    for x0, w, first in (((0, INT64_BOUND), (1, 0), [(False, [None])]),
+                         ((0, 3), (INT64_BOUND // 2, 0), [])):
+        kernels.clear()
         out = augment_to_optimum(x0, segment, w)
         assert out.x == (x0[1], 0) and out.value == x0[1] * w[0]
-        assert fast in ([], [None]) and exact == [out]
+        assert kernels == first + [(True, [out])]
     # x1 + 2 x2 = b: the step along (2, -1) doubles the largest entry, so
     # the guard passes before the query and trips after its first step
     line = graver_basis(IntMat(1, 2, ((1, 2),)))
     k = INT64_BOUND // 3
     assert k * 2 < INT64_BOUND <= 2 * k * 2
-    fast.clear()
-    exact.clear()
+    kernels.clear()
     out = augment_to_optimum((0, k), line, (1, 0))
     assert out == SolveOutcome.optimal((2 * k, 0), 2 * k)
-    assert fast == [None] and exact == [out]
-    # x0 with a negative entry takes the exact loop
-    fast.clear()
+    assert kernels == [(False, [None]), (True, [out])]
+    # x0 with a negative entry takes the exact view, whose first step
+    # raises
+    kernels.clear()
     basis = graver_basis(IntMat(1, 3, ((1, 1, 0),)))
     with pytest.raises(InternalInconsistencyError):
         augment_to_optimum((0, 2, -1), basis, (1, 0, 0))
-    assert not fast
+    assert kernels == [(True, None)]
 
 
 def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
@@ -413,8 +510,8 @@ def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
     basis, = bases
     assert out.stats.oracle_queries > 10 and len(builds) == 1
     assert basis.__dict__["int64_view"] is builds[0]
-    # every guard held, so no exact loop built the Python supports
-    assert "supports" not in basis.__dict__
+    # every guard held, so the exact view was never built
+    assert "exact_view" not in basis.__dict__
     # equality and hashing ignore the view
     bare = GraverBasis(basis.elements, basis.source)
     assert bare == basis and hash(bare) == hash(basis)
@@ -432,10 +529,12 @@ def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
 
 
 def _assert_phase1_paths_agree(x0, basis):
-    """The int64 phase I takes x0 within its guard to the exact loop's
-    point; returns that point."""
-    x = ipsolve._drive_int64(x0, basis.int64_view)
-    assert x is not None and x == ipsolve._drive_exact(x0, basis), x0
+    """Phase I on the int64 view takes x0 within its guard to the exact
+    oracle's point, and so does phase I on the exact view; returns that
+    point."""
+    x = ipsolve._drive(x0, basis.int64_view)
+    assert x is not None and x == drive_exact(x0, basis), x0
+    assert ipsolve._drive(x0, basis.exact_view) == x, x0
     return x
 
 
@@ -475,18 +574,16 @@ def test_int64_and_exact_phase1_agree(monkeypatch):
         seen["fractional"] += max(map(abs, basis.int64_view.vals)) > 1
     assert min(seen.values()) >= 20, seen
     # and drive_nonnegative itself takes the int64 path
-    exact = _spy(monkeypatch, ipsolve, "_drive_exact")
     basis = nfold_graver(TRANSPORT_FIBER, 8)
     A = nfold_matrix(TRANSPORT_FIBER, 8)
     lattice = solve_integer(A, mat_vec(A, (1,) * 32))
-    assert drive_nonnegative(lattice, basis) == \
-        ipsolve._drive_int64(lattice, basis.int64_view)
-    assert not exact
+    kernels = _kernel_spy(monkeypatch, "_drive")
+    x = drive_nonnegative(lattice, basis)
+    assert kernels == [(False, x)] and x == drive_exact(lattice, basis)
 
 
 def test_phase1_guards_fall_back_to_the_exact_loop(monkeypatch):
-    fast = _spy(monkeypatch, ipsolve, "_drive_int64")
-    exact = _spy(monkeypatch, ipsolve, "_drive_exact")
+    kernels = _kernel_spy(monkeypatch, "_drive")
     # x1 - x2 = b: the basis is +-(1, 1), max |g|_1 = 2, and the step
     # along (1, 1) that empties x1 adds |x1| to x2
     line = graver_basis(IntMat(1, 2, ((1, -1),)))
@@ -497,35 +594,41 @@ def test_phase1_guards_fall_back_to_the_exact_loop(monkeypatch):
         assert l1 * (2 * m + 1) < INT64_BOUND <= l1 * (2 * m + 3)
 
     def drive(x0, basis=line):
-        fast.clear()
-        exact.clear()
+        kernels.clear()
         return drive_nonnegative(x0, basis)
+
+    def fell_back(x):
+        return kernels == [(False, None), (True, x)]
 
     # the start guard: max|x0| at the limit, then past it
     assert drive((-limit, 0)) == (0, limit)
-    assert fast == [(0, limit)] and not exact
+    assert kernels == [(False, (0, limit))]
     assert drive((-limit - 1, 0)) == (0, limit + 1)
-    assert fast == [None] and exact == [(0, limit + 1)]
+    assert fell_back((0, limit + 1))
     # the step guard: a step writes the limit, then one past it
     assert drive((-1, limit - 1)) == (0, limit)
-    assert fast == [(0, limit)] and not exact
+    assert kernels == [(False, (0, limit))]
     assert drive((-1, limit)) == (0, limit + 1)
-    assert fast == [None] and exact == [(0, limit + 1)]
+    assert fell_back((0, limit + 1))
     # x1 - x2 = b beside x3 - x4 = b': the first step (gain 5) empties
     # x1, the second writes x4 past the limit after x4 starts at it, so
-    # the phase is re-run from x0 on the exact loop
+    # the phase is re-run from x0 on the exact view
     pair = graver_basis(IntMat(2, 4, ((1, -1, 0, 0), (0, 0, 1, -1))))
     assert ipsolve._penalty_limit(pair.int64_view) == limit
     assert drive((-5, 0, -1, limit - 1), pair) == (0, 5, 0, limit)
-    assert fast == [(0, 5, 0, limit)] and not exact
+    assert kernels == [(False, (0, 5, 0, limit))]
     assert drive((-5, 0, -1, limit), pair) == (0, 5, 0, limit + 1)
-    assert fast == [None] and exact == [(0, 5, 0, limit + 1)]
-    # a basis without a view takes the exact loop
+    assert fell_back((0, 5, 0, limit + 1))
+    # a basis without an int64 view takes the exact view, and an empty
+    # basis leaves x0 as it is
     huge = GraverBasis((((1 << 62), 1), (-(1 << 62), -1)),
                        IntMat(1, 2, ((1, -(1 << 62)),)))
     assert huge.int64_view is None
     assert drive((-(1 << 62), -1), huge) == (0, 0)
-    assert not fast and exact == [(0, 0)]
+    assert kernels == [(True, (0, 0))]
+    empty = graver_basis(IntMat.identity(2))
+    assert len(empty) == 0 and drive([-3, 4], empty) == (-3, 4)
+    assert not kernels
 
 
 def test_drive_nonnegative_reaches_feasibility():
@@ -619,6 +722,25 @@ def test_objective_length_is_checked_before_solving(monkeypatch):
     rhs = NFoldRhs.make((3,), [(1,), (1,)])
     with pytest.raises(DimensionMismatchError):
         solve_nfold_ip(stencil, 2, (1, 2, 3), rhs)
+
+
+def test_rhs_shape_is_checked_before_the_basis_is_built(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("built a basis for a malformed right-hand side")
+
+    for module in (ipsolve, convexopt):
+        monkeypatch.setattr(module, "nfold_graver", build)
+    monkeypatch.setattr(ipsolve, "solve_integer", build)
+    stencil = NFoldStencil(IntMat(1, 2, ((1, 1),)), IntMat(1, 2, ((1, 0),)))
+    weights = ObjectiveWeights.make([(1, 0, 0, 1)])
+    # three layers for n = 2, then a layer of the wrong length
+    for rhs in (NFoldRhs.make((3,), [(1,), (1,), (1,)]),
+                NFoldRhs.make((3,), [(1,), (1, 2)])):
+        with pytest.raises(DimensionMismatchError):
+            solve_nfold_ip(stencil, 2, (1, 0, 0, 1), rhs)
+        with pytest.raises(DimensionMismatchError):
+            solve_convex_nfold(stencil, 2, weights, rhs,
+                               SquaredNormObjective())
 
 
 def test_packing_slack_reward_example():
