@@ -8,7 +8,6 @@ command and the test suite compare the two.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,26 +57,23 @@ def enumerate_feasible(A: IntMat, b: Sequence[int],
         if total > budget.max_points:
             raise ResourceLimitError(
                 f"box of {total}+ points exceeds budget {budget.max_points}")
+    if n == 0:  # the one point, the empty one: np.unravel_index has none
+        return [()] if not any(b) else []
+    # int64 holds every product and sum below when both bounds are met
     big = max([1] + [abs(v) for row in A.data for v in row])
-    # a zero-column box holds one point, the empty one, which
-    # np.unravel_index cannot produce
-    use_numpy = A.rows > 0 and n > 0 and big * (sum(bounds) + 1) < 2 ** 60
+    fits = (big * (sum(bounds) + 1) < 2 ** 60
+            and max(map(abs, b), default=0) < 2 ** 60)
+    dtype = np.int64 if fits else object
+    mat = np.array(A.data, dtype=dtype).reshape(A.rows, n)
+    target = np.array(b, dtype=dtype)
+    dims = tuple(bound + 1 for bound in bounds)
     out = []
-    if use_numpy:
-        mat = np.array(A.data, dtype=np.int64)
-        target = np.array(list(b), dtype=np.int64)
-        dims = tuple(bound + 1 for bound in bounds)
-        for start in range(0, total, _CHUNK):
-            # C order of the flat index is itertools.product order
-            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            pts = np.stack(np.unravel_index(idx, dims), axis=1)
-            mask = (pts @ mat.T == target).all(axis=1)
-            out.extend(map(tuple, pts[mask].tolist()))
-    else:
-        bb = tuple(b)
-        for x in itertools.product(*(range(bound + 1) for bound in bounds)):
-            if mat_vec(A, x) == bb:
-                out.append(x)
+    for start in range(0, total, _CHUNK):
+        # C order of the flat index is itertools.product order
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        pts = np.stack(np.unravel_index(idx, dims), axis=1)
+        mask = (pts.astype(dtype, copy=False) @ mat.T == target).all(axis=1)
+        out.extend(map(tuple, pts[mask].tolist()))
     return out
 
 

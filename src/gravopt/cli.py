@@ -185,7 +185,7 @@ def _config_from_args(args) -> RunConfig:
 def _cmd_graver(args, config: RunConfig) -> int:
     basis = graver_basis(_read_matrix(args.matrix), config)
     half = basis.canonical_half()
-    _emit(format_matrix(IntMat.from_rows(half, cols=basis.n)), args.output)
+    _emit(format_matrix(IntMat(len(half), basis.n, half)), args.output)
     _summary(f"graver: {len(half)} canonical elements "
              f"({len(basis)} with signs)")
     return EXIT_OK
@@ -195,7 +195,7 @@ def _cmd_nfold_graver(args, config: RunConfig) -> int:
     stencil = parse_stencil(_read(args.stencil))
     basis = nfold_graver(stencil, args.n, config)
     half = basis.canonical_half()
-    _emit(format_matrix(IntMat.from_rows(half, cols=basis.n)), args.output)
+    _emit(format_matrix(IntMat(len(half), basis.n, half)), args.output)
     _summary(f"nfold-graver: n={args.n}, {len(half)} canonical elements")
     return EXIT_OK
 
@@ -249,7 +249,7 @@ def _cmd_solve_ip(args, config: RunConfig) -> int:
     payload = json.dumps(doc) + "\n"
     if args.solution:
         _write_atomic(args.solution,
-                      format_matrix(IntMat.from_rows([out.x])))
+                      format_matrix(IntMat(1, len(out.x), (out.x,))))
     _emit(payload, args.output)
     _summary(f"solve-ip: optimal value {out.value}")
     return EXIT_OK

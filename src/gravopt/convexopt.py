@@ -9,7 +9,7 @@ call.
 
 Both maps through W run in int64 when their guards hold, and on Python
 ints (numpy dtype object) otherwise, by the same code.  A Graver basis is
-projected once per solve into the table P = G.W^T (`projection_table`),
+projected once per solve into the table P = G.W^T (`GraverBasis.project`),
 one `np.add.reduceat` over the basis's int64 view
 (`GraverBasis.int64_view`) when max|W| * max|g|_1 < 2^62 and over its
 exact view otherwise; a plain list of directions is projected exactly.
@@ -164,35 +164,15 @@ class ConvexOutcome:
         return self.status == OPTIMAL_OUTCOME
 
 
-def projection_table(basis: GraverBasis,
-                     weights: ObjectiveWeights) -> np.ndarray:
-    """P = G.W^T as a |G| x d array, row i the projection of
-    basis.elements[i]: int64 when max|W| * max|g|_1 < INT64_BOUND, and
-    Python ints otherwise."""
-    if basis.n != weights.n:
-        raise DimensionMismatchError(
-            f"objective rows of length {weights.n}, basis has {basis.n} "
-            "columns")
-    view, W = basis.int64_view, weights.int64_rows
-    if (view is None or W is None
-            or weights.max_abs * view.max_l1 >= INT64_BOUND):
-        view, W = basis.exact_view, np.array(weights.rows, dtype=object)
-    if view is None:  # no elements
-        return np.zeros((0, weights.d), dtype=np.int64)
-    return np.add.reduceat(W[:, view.cols] * view.vals, view.starts[:-1],
-                           axis=1).T
-
-
 def project_directions(directions: GraverBasis | np.ndarray
                        | Sequence[Sequence[int]],
                        weights: ObjectiveWeights) -> list:
     """Projections (w_1.e, .., w_d.e), zero vectors and duplicates
     removed, sorted for determinism.  `directions` is a sequence of
-    vectors, a GraverBasis, which is projected through its
-    `projection_table`, or such a table, whose rows are already
-    projected."""
+    vectors, a GraverBasis, which is projected by its `project`, or such
+    a projection table, whose rows are already projected."""
     if isinstance(directions, GraverBasis):
-        directions = projection_table(directions, weights)
+        directions = directions.project(weights.rows)
     if isinstance(directions, np.ndarray):
         P = directions
         return sorted(set(map(tuple, P[P.any(axis=1)].tolist())))
@@ -321,6 +301,6 @@ def solve_convex_nfold(stencil: NFoldStencil, n: int,
     def lip(w):
         return augment_to_optimum(x0, basis, w)
 
-    P = projection_table(basis, weights)
+    P = basis.project(weights.rows)
     return _search(lip, weights, P, objective, config,
                    functools.partial(_batched_replies, x0, basis, weights, P))

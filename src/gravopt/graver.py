@@ -9,8 +9,9 @@ The test oracle, a brute-force box enumeration of the same set, is
 of itself, built with numpy straight from its elements, a block of rows
 at a time, when first asked for: `GraverBasis.int64_view`, whose values
 are int64 and bounded, and `GraverBasis.exact_view`, whose values are
-Python ints.  The augmentation kernels and the projection run on either;
-the exact view is built only when a value is past an int64 guard.
+Python ints.  The augmentation kernels and the projection
+`GraverBasis.project` run on either; the exact view is built only when a
+value is past an int64 guard.
 """
 
 from __future__ import annotations
@@ -50,20 +51,21 @@ VIEW_BLOCK_ENTRIES = 1 << 16
 class Int64View(NamedTuple):
     """A basis as arrays, for phase I (`ipsolve.drive_nonnegative`), the
     batched phase-II kernel (`ipsolve.augment_batch`) and the projection
-    table (`convexopt.projection_table`).  The index arrays are int64;
-    the value arrays vals, supp_vals and neg_mags are int64 in the int64
-    view and hold Python ints (dtype object) in the exact view.
+    `GraverBasis.project`.  The index arrays are int64; the value arrays
+    vals, supp_vals and neg_mags are int64 in the int64 view and hold
+    Python ints (dtype object) in the exact view.
 
     Element i's support is cols/vals[starts[i]:starts[i + 1]], in column
     order.  Row i of supp_cols/supp_vals (|G| x k) holds the same entries
     padded to the longest support with (n, 1), and the elements whose
     support meets coordinate j are meets[meet_starts[j]:meet_starts[j + 1]]:
-    phase I scores from the table and re-scores through this index.
-    Column i of neg_cols/neg_mags (k x |G|, one row per negative-entry
-    slot) holds element i's negative entries as (column, -value), padded
-    to the longest such list with (n, 1).  Column n is a sentinel
-    coordinate each kernel sets to suit its padding: zero in phase I,
-    above every real step length in phase II.  The elements with a
+    phase I scores from the table and re-scores through this index, with
+    a sentinel coordinate n that it keeps at zero.  Column i of
+    neg_cols/neg_mags (k x |G|, one row per negative-entry slot) holds
+    element i's negative entries as (column, -value), padded to the
+    longest such list with copies of its first one, so a minimum over
+    the slots is the minimum over the entries; an element with none is
+    padded with (0, 1), which phase II never reads.  The elements with a
     negative entry at coordinate j are readers[reader_starts[j]:
     reader_starts[j + 1]], and nonneg lists the elements with none.
     Element ids ascend (canonical order) within every list.
@@ -133,8 +135,8 @@ def _int64_view(elements: tuple, n: int,
         supp_cols=_padded(elem, counts, cols, n),
         supp_vals=_padded(elem, counts, vals, 1),
         meet_starts=meet_starts, meets=meets,
-        neg_cols=_padded(neg_elem, neg_counts, neg_cols, n).T.copy(),
-        neg_mags=_padded(neg_elem, neg_counts, neg_mags, 1).T.copy(),
+        neg_cols=_padded(neg_elem, neg_counts, neg_cols, 0, True).T.copy(),
+        neg_mags=_padded(neg_elem, neg_counts, neg_mags, 1, True).T.copy(),
         reader_starts=reader_starts, readers=readers,
         nonneg=np.flatnonzero(neg_counts == 0),
         max_l1=max_l1)
@@ -152,13 +154,17 @@ def _grouped(keys: np.ndarray, ids: np.ndarray, size: int) -> tuple:
 
 
 def _padded(elem: np.ndarray, counts: np.ndarray, values: np.ndarray,
-            fill: int) -> np.ndarray:
+            fill: int, repeat: bool = False) -> np.ndarray:
     """The |G| x max(1, max(counts)) table whose row i holds the values
-    of element i's entries in order, then fill; elem ascends and counts
-    holds its multiplicities."""
+    of element i's entries in order, then fill, or with `repeat` copies
+    of its first value (fill only when it has none); elem ascends and
+    counts holds its multiplicities."""
     table = np.full((len(counts), max(1, int(counts.max()))), fill,
                     dtype=values.dtype)
     first = np.cumsum(counts) - counts
+    if repeat:
+        has = counts > 0
+        table[has] = values[first[has], None]
     table[elem, np.arange(len(elem)) - first[elem]] = values
     return table
 
@@ -208,6 +214,26 @@ class GraverBasis:
         `elements` on first use, when a value is past an int64 guard;
         None when it is empty."""
         return _int64_view(self.elements, self.n, exact=True)
+
+    def project(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """G.W^T as a |G| x d array for the d rows of W, row i the
+        projection of elements[i]: one sum per element over the int64
+        view when max|W| * max|g|_1 < INT64_BOUND, and over the exact
+        view, in Python ints, otherwise; (0, d) when the basis is empty."""
+        for w in rows:
+            if len(w) != self.n:
+                raise DimensionMismatchError(
+                    f"objective rows of length {len(w)}, basis has "
+                    f"{self.n} columns")
+        view = self.int64_view
+        top = max((abs(a) for w in rows for a in w), default=0)
+        if view is None or top * view.max_l1 >= INT64_BOUND:
+            view = self.exact_view
+        if view is None:  # no elements
+            return np.zeros((0, len(rows)), dtype=np.int64)
+        W = np.array(rows, dtype=view.vals.dtype)
+        return np.add.reduceat(W[:, view.cols] * view.vals,
+                               view.starts[:-1], axis=1).T
 
 
 def _normal_form(v: IntVec, basis: list) -> IntVec:

@@ -43,15 +43,16 @@ score lam*max(w.g, 0) (the canonical-order tie-break), and
 lam = score // w.g.  A move is applied through the CSR supports; only
 the (row, element) pairs whose element has a negative entry at a moved
 coordinate and w.g > 0 are re-scored, by flat gathers over the
-negative-entry columns.  On the int64 view every product stays below
-2^62.  The values w.g are exact: for one objective max|w| * max|g|_1 is
-below 2^62, and a batch's caller guards its own.  A row starts only when
-max(x0) <= limit = (2^62 - 1) // max(w.g), and a step may not carry a
-coordinate past limit; for a positive entry a that is checked as
-lam > (limit - x_j) // a, which cannot overflow.  The rows whose guard
-trips are re-run together on the exact view from x0 while the other rows
-keep stepping, and a negative entry in x0 sends every row there, where
-the first step raises InternalInconsistencyError.
+negative-entry table.  On the int64 view every product stays below
+2^62.  The values w.g are exact: `GraverBasis.project` computes them for
+one objective, and a batch's caller guards its own.  A call starts only
+when max(x0) <= limit = (2^62 - 1) // max(w.g), the maximum over the
+whole batch, and no step may carry a coordinate past limit; for a
+positive entry a that is checked as lam > (limit - x_j) // a, which
+cannot overflow.  When either check fails the whole call is re-run on
+the exact view from x0, as phase I is.  A negative entry in x0 sends the
+call there at once, and its first step raises
+InternalInconsistencyError.
 """
 
 from __future__ import annotations
@@ -109,20 +110,13 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
     Each step picks, among improving basis elements, the pair (g, lam)
     maximizing lam*(w.g), ties broken by canonical basis order; a
     nonnegative improving element is returned as an unboundedness
-    certificate instead.  Runs on the basis's int64 view when the guards
-    of the module docstring hold, and on its exact view otherwise.
+    certificate instead.  The values w.g come from `GraverBasis.project`,
+    and the batch of one runs as `augment_batch` runs it.
     """
     if len(w) != len(x0):
         raise DimensionMismatchError("objective length != point length")
     _check_point(x0, basis)
-    view = basis.int64_view
-    if view is None or max(map(abs, w)) * view.max_l1 >= INT64_BOUND:
-        view = basis.exact_view
-    if view is None:  # no elements: x0 is optimal
-        return SolveOutcome.optimal(x0, dot(w, x0))
-    wg = np.add.reduceat(np.array(w, dtype=view.vals.dtype)[view.cols]
-                         * view.vals, view.starts[:-1])
-    return augment_batch(x0, basis, wg[None, :], (w,))[0]
+    return augment_batch(x0, basis, basis.project((w,)).T, (w,))[0]
 
 
 def augment_batch(x0: Sequence[int], basis: GraverBasis, wg: np.ndarray,
@@ -131,25 +125,20 @@ def augment_batch(x0: Sequence[int], basis: GraverBasis, wg: np.ndarray,
 
     Row q of wg holds objectives[q].g for every basis element g, in
     canonical order; the caller computes it exactly, in int64 or on
-    Python ints (dtype object).  The int64 rows step in lockstep on the
-    int64 view, and the rows whose guard trips are re-run on the exact
-    view (module docstring).
+    Python ints (dtype object).  An int64 wg steps on the int64 view, and
+    the whole call is re-run on the exact view when the guard trips
+    (module docstring).
     """
     _check_point(x0, basis)
     if not basis.elements:
         return [SolveOutcome.optimal(x0, dot(w, x0)) for w in objectives]
     view = basis.int64_view
-    if wg.dtype == object or view is None or min(x0) < 0:
-        return _augment_rows(x0, basis, basis.exact_view,
+    outs = None
+    if wg.dtype != object and view is not None and min(x0) >= 0:
+        outs = _augment_rows(x0, basis, view, wg, objectives)
+    if outs is None:
+        outs = _augment_rows(x0, basis, basis.exact_view,
                              wg.astype(object, copy=False), objectives)
-    outs = _augment_rows(x0, basis, view, wg, objectives)
-    redo = [q for q, out in enumerate(outs) if out is None]
-    if redo:
-        again = _augment_rows(x0, basis, basis.exact_view,
-                              wg[redo].astype(object),
-                              [objectives[q] for q in redo])
-        for q, out in zip(redo, again):
-            outs[q] = out
     return outs
 
 
@@ -170,7 +159,7 @@ def _gains(x: np.ndarray, view: Int64View, wg: np.ndarray,
            pairs: np.ndarray) -> np.ndarray:
     """Score lam*(w.g) of each (row, element) pair, given by its flat
     index into wg; lam is the longest step keeping the row's point x[row]
-    nonnegative, and x carries the sentinel column."""
+    nonnegative."""
     rows, elems = np.divmod(pairs, wg.shape[1])
     base = rows * x.shape[1]
     lam = x.take(base + view.neg_cols[0].take(elems)) \
@@ -182,53 +171,51 @@ def _gains(x: np.ndarray, view: Int64View, wg: np.ndarray,
 
 
 def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
-                  wg: np.ndarray, objectives: Sequence[Sequence[int]]) -> list:
+                  wg: np.ndarray,
+                  objectives: Sequence[Sequence[int]]) -> Optional[list]:
     """The batched phase-II kernel (module docstring) on the view, whose
-    value dtype wg shares: entry q is row q's outcome, or None where an
-    int64 guard tripped.  On the int64 view x0 is nonnegative."""
+    value dtype wg shares: entry q is row q's outcome.  On the int64 view
+    x0 is nonnegative, and the call returns None when the guard trips."""
     exact = wg.dtype == object
+    if not exact:
+        limit = (INT64_BOUND - 1) // int(wg.max(initial=1))
+        if max(x0) > limit:
+            return None
     outs: list = [None] * len(wg)
     ray = wg[:, view.nonneg] > 0
-    tops = wg.max(axis=1).tolist()
-    high, low = max(x0), min(x0)
     live = []
-    for q, top in enumerate(tops):
+    for q, top in enumerate(wg.max(axis=1).tolist()):
         if ray[q].any():
             outs[q] = SolveOutcome.unbounded(
                 basis.elements[view.nonneg[ray[q].argmax()]])
         elif top <= 0:
             outs[q] = SolveOutcome.optimal(x0, dot(objectives[q], x0))
-        elif exact or high <= (INT64_BOUND - 1) // top:
+        else:
             live.append(q)
     if not live:
         return outs
     ids = np.array(live)
     wg = wg[ids]
-    limit = (INT64_BOUND - 1) // wg.max(axis=1)  # read on the int64 view
-    # the sentinel stays above every step length x_j // m: on the exact
-    # view it follows the largest coordinate
-    sentinel = max(high, 0) if exact else INT64_BOUND
-    x = np.tile(np.array([*x0, sentinel], dtype=wg.dtype), (len(ids), 1))
+    x = np.tile(np.array(x0, dtype=wg.dtype), (len(ids), 1))
+    low = min(x0)
     n, size = basis.n, wg.shape[1]
     hot = wg > 0
     scores = np.zeros_like(wg)
     pairs = np.flatnonzero(hot)
     np.put(scores, pairs, _gains(x, view, wg, pairs))
-    tripped = np.zeros(len(ids), dtype=bool)
     while True:
         best = scores.argmax(axis=1)  # the first maximum: canonical order
         gain = scores[np.arange(len(ids)), best]
         done = gain <= 0
         for q, row in zip(ids[done], x[done]):
-            xq = tuple(row[:n].tolist())
+            xq = tuple(row.tolist())
             outs[q] = SolveOutcome.optimal(xq, dot(objectives[q], xq))
-        stop = done | tripped
-        if stop.all():
+        if done.all():
             return outs
-        if stop.any():
-            keep = ~stop
-            ids, wg, hot, limit, x, scores, best, gain = (
-                a[keep] for a in (ids, wg, hot, limit, x, scores, best, gain))
+        if done.any():
+            keep = ~done
+            ids, wg, hot, x, scores, best, gain = (
+                a[keep] for a in (ids, wg, hot, x, scores, best, gain))
         rows = np.arange(len(ids))
         lam = gain // wg[rows, best]
         lo = view.starts[best]
@@ -237,24 +224,19 @@ def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
         entries = _ranges(lo, count)
         cols, vals = view.cols[entries], view.vals[entries]
         steps = np.repeat(lam, count)
-        flat = rows * (n + 1) + cols
+        flat = rows * n + cols
         old = x.take(flat)
-        tripped = np.zeros(len(ids), dtype=bool)
         if not exact:
             # x_j + lam*a > limit, for a > 0, without forming lam*a
-            up = np.flatnonzero(vals > 0)
-            over = up[steps[up] > (limit[rows[up]] - old[up]) // vals[up]]
-            tripped[rows[over]] = True
-        moved = ~tripped[rows]
-        rows, cols, flat = rows[moved], cols[moved], flat[moved]
-        new = old[moved] + steps[moved] * vals[moved]
+            up = vals > 0
+            if (steps[up] > (limit - old[up]) // vals[up]).any():
+                return None
+        new = old + steps * vals
         np.put(x, flat, new)
         # a negative x0 (exact view only) is checked whole, as it may stay
-        if (new < 0).any() or (low < 0 and (x[:, :n] < 0).any()):
+        if (new < 0).any() or (low < 0 and (x < 0).any()):
             raise InternalInconsistencyError(
                 "augmentation left the nonnegative orthant")
-        if exact:
-            x[:, n] = max(x[0, n], new.max())
         lo = view.reader_starts[cols]
         count = view.reader_starts[cols + 1] - lo
         mark = np.zeros_like(hot)

@@ -64,7 +64,7 @@ def _primitive(e: Sequence[int]):
 def _independent_subset(vectors: list) -> list:
     """Greedy maximal linearly independent subset, in input order: the
     pivot rows of the column echelon form."""
-    A = IntMat.from_rows(vectors, cols=len(vectors[0]))
+    A = IntMat(len(vectors), len(vectors[0]), tuple(vectors))
     return [vectors[r] for r, _ in _column_echelon(A)[2]]
 
 

@@ -246,14 +246,17 @@ def supports_int64_view(supports: tuple, n: int, exact: bool = False):
         return (np.cumsum([0] + [len(r) for r in by_col], dtype=np.int64),
                 np.array([i for r in by_col for i in r], dtype=np.int64))
 
-    def padded(lists):
+    def padded(lists, pad):
+        """Each list padded to the longest with pad(list)."""
         k = max(1, max(map(len, lists)))
-        rows = [(list(pairs) + [(n, 1)] * k)[:k] for pairs in lists]
+        rows = [(list(pairs) + [pad(pairs)] * k)[:k] for pairs in lists]
         return (np.array([[j for j, _ in r] for r in rows], dtype=np.int64),
                 np.array([[a for _, a in r] for r in rows], dtype=values))
 
-    supp_cols, supp_vals = padded(supports)
-    neg_cols, neg_mags = padded(negs)
+    # supports pad with the sentinel (n, 1); negative entries repeat their
+    # first one, and (0, 1) stands in for an element with none
+    supp_cols, supp_vals = padded(supports, lambda pairs: (n, 1))
+    neg_cols, neg_mags = padded(negs, lambda pairs: (pairs or [(0, 1)])[0])
     meet_starts, meets = index(supports)
     reader_starts, readers = index(negs)
     return Int64View(

@@ -36,11 +36,16 @@ def test_budget_guard():
         enumerate_feasible(A, (9,), EnumBudget(max_points=100))
 
 
-def test_pure_python_fallback_handles_huge_entries():
+def test_python_int_path_handles_huge_entries():
     big = 2 ** 62
     A = IntMat(1, 2, ((big, -big),))
     pts = enumerate_feasible(A, (0,), EnumBudget(bounds=(2, 2)))
     assert pts == [(0, 0), (1, 1), (2, 2)]
+    # a right-hand side past int64 takes the same path
+    A = IntMat(1, 2, ((1, 1),))
+    assert enumerate_feasible(A, (2 ** 63,), EnumBudget(bounds=(2, 2))) == []
+    assert enumerate_feasible(A, (-(2 ** 70),),
+                              EnumBudget(bounds=(1, 1))) == []
 
 
 def test_brute_convex_max_examples():

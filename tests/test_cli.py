@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,24 @@ def test_nfold_graver_subcommand(files, capsys):
         EXIT_OK
     out = capsys.readouterr().out
     assert out.splitlines()[0].split()[1] == "2"
+
+
+# the 2x2 line-sum stencil: A1 = I_4, A2 = row and column sums of a layer
+LINE_SUM_STENCIL = ("4 4 4\n4 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+                    "4 4\n1 1 0 0\n0 0 1 1\n1 0 1 0\n0 1 0 1\n")
+
+
+@pytest.mark.parametrize("n, digest", [
+    (8, "ee7340d1cc421f0710384beb9e1d48fd1c4124409277539915fa7d44075b003d"),
+    (16, "67c61caf8e386c67dfe2466e1bfd0e5f74864831a6fef5155abd7a22fa473739"),
+])
+def test_nfold_graver_output_is_pinned(files, tmp_path, capsys, n, digest):
+    stencil = files("st.txt", LINE_SUM_STENCIL)
+    out = tmp_path / "basis.txt"
+    assert dispatch(["nfold-graver", "--stencil", stencil, "--n", str(n),
+                     "--output", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert f"{n * (n - 1) // 2} canonical elements" in capsys.readouterr().err
 
 
 def test_zonotope_subcommand(files, capsys):
@@ -198,6 +217,19 @@ def test_verify_infeasible_transport_stays_inside_the_guard(files, capsys):
     # u = 5s cannot be met with v = z = 1s; the box x <= 1 has 2^8 points
     bad = dict(TRANSPORT_INSTANCE, u=[[5, 5], [5, 5]])
     inst = files("t.json", json.dumps(bad))
+    assert dispatch(["verify", inst]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["pipeline_status"] == "infeasible"
+    assert report["points"] == 0 and report["pass"] is True
+
+
+def test_verify_handles_a_margin_past_int64(files, capsys):
+    # no table meets u = 10^20 with v = z = 1s; the enumeration compares
+    # against that margin on Python ints
+    big = dict(TRANSPORT_INSTANCE, u=[[10 ** 20, 1], [1, 1]])
+    inst = files("t.json", json.dumps(big))
+    assert dispatch(["transport", inst]) == EXIT_INFEASIBLE
+    capsys.readouterr()
     assert dispatch(["verify", inst]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["pipeline_status"] == "infeasible"

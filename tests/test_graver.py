@@ -206,6 +206,29 @@ def test_int64_view_matches_the_python_oracle(monkeypatch):
         _assert_same_view(nfold_graver(transport, n))
 
 
+def test_negative_entry_table_pads_with_each_elements_first_entry():
+    # every slot names a real column; slots past an element's negative
+    # entries repeat its first one, so a minimum over the slots is the
+    # minimum over the entries; an element with none reads (0, 1)
+    rng = random.Random(97)
+    padded = 0
+    for basis in filter(len, (graver_basis(random_matrix(rng))
+                              for _ in range(80))):
+        for view in (basis.int64_view, basis.exact_view):
+            if view is None:
+                continue
+            assert (view.neg_cols < basis.n).all()
+            k = len(view.neg_cols)
+            for i, g in enumerate(basis.elements):
+                negs = [(j, -a) for j, a in enumerate(g) if a < 0]
+                slots = list(zip(view.neg_cols[:, i].tolist(),
+                                 view.neg_mags[:, i].tolist()))
+                pad = (negs or [(0, 1)])[0]
+                assert slots == negs + [pad] * (k - len(negs)), (g, slots)
+                padded += 0 < len(negs) < k
+    assert padded >= 20
+
+
 def test_int64_view_guards_its_entries_and_one_norms():
     top = INT64_BOUND - 1
     half = INT64_BOUND // 2

@@ -1,4 +1,3 @@
-import copy
 import random
 
 import numpy as np
@@ -243,7 +242,8 @@ def _wg(basis, objectives):
 
 def test_batched_kernel_matches_the_exact_loop_row_by_row():
     # random systems with several objectives per call: unbounded rows,
-    # rows with max w.g <= 0 (x0 is optimal) and padded negative rows
+    # rows with max w.g <= 0 (x0 is optimal), and bases with an element
+    # whose negative entries are padded to the table's height
     rng = random.Random(73)
     seen = {"unbounded": 0, "flat": 0, "stepped": 0, "padded": 0}
     for _ in range(80):
@@ -251,7 +251,8 @@ def test_batched_kernel_matches_the_exact_loop_row_by_row():
         view = basis.int64_view
         if view is None:
             continue
-        seen["padded"] += bool((view.neg_cols == basis.n).any())
+        negs = [sum(1 for a in g if a < 0) for g in basis.elements]
+        seen["padded"] += any(0 < k < len(view.neg_cols) for k in negs)
         x0 = tuple(rng.randint(0, 4) for _ in range(basis.n))
         objectives = [tuple(rng.randint(-3, 3) for _ in range(basis.n))
                       for _ in range(rng.randint(1, 6))]
@@ -276,8 +277,7 @@ def test_batched_kernel_trips_one_row_while_the_others_step(monkeypatch):
     # x1 + 2 x2 = b beside x3 + .. + x6 = b': rows 0 and 4 pass the guard
     # before the query and trip on their first step, which is the same
     # step (as in the single-row case of the guard test); rows 1 and 2
-    # empty two coordinates of the second block, one per step, so they
-    # carry on after rows 0 and 4 stop
+    # empty two coordinates of the second block, one per step
     basis = graver_basis(IntMat(2, 6, ((1, 2, 0, 0, 0, 0),
                                        (0, 0, 1, 1, 1, 1))))
     k = INT64_BOUND // 3
@@ -286,15 +286,15 @@ def test_batched_kernel_trips_one_row_while_the_others_step(monkeypatch):
                   (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 0),
                   (1, 0, 0, 0, 0, 1)]
     wg = _wg(basis, objectives)
-    outs = ipsolve._augment_rows(x0, basis, basis.int64_view, wg, objectives)
+    assert ipsolve._augment_rows(x0, basis, basis.int64_view, wg,
+                                 objectives) is None
     exact = [augment_exact(x0, basis, w) for w in objectives]
-    assert outs == [None] + exact[1:4] + [None]
     assert exact[0] == SolveOutcome.optimal((2 * k, 0, 3, 1, 4, 2), 2 * k)
-    assert [out.x[2:].count(0) for out in outs[1:4]] == [2, 2, 0]
+    assert [out.x[2:].count(0) for out in exact[1:4]] == [2, 2, 0]
     kernels = _kernel_spy(monkeypatch, "_augment_rows")
     assert ipsolve.augment_batch(x0, basis, wg, objectives) == exact
-    # rows 0 and 4 are re-run together on the exact view
-    assert kernels == [(False, outs), (True, [exact[0], exact[4]])]
+    # the tripped call is re-run whole, all five rows, on the exact view
+    assert kernels == [(False, None), (True, exact)]
 
 
 def _per_vertex(stencil, n, weights, rhs, objective):
@@ -376,7 +376,7 @@ def test_empty_basis_solves_at_its_one_point():
     basis = nfold_graver(stencil, 3)
     weights = ObjectiveWeights.make([(1, 2, 3), (2, 1, 3)])
     assert len(basis) == 0
-    assert convexopt.projection_table(basis, weights).shape == (0, 2)
+    assert basis.project(weights.rows).shape == (0, 2)
     out = solve_convex_nfold(stencil, 3, weights, rhs, SquaredNormObjective())
     assert out.x == (1, 2, 3) and out.z == (14, 13)
     assert out.stats == SearchStats(oracle_queries=2, identity_checks=1,
@@ -423,9 +423,9 @@ def test_exact_view_kernels_match_the_oracles_past_every_guard():
             seen["phase1"] += x != start
             seen["stuck"] += min(x) < 0
     assert min(seen.values()) >= 20, seen
-    # the first step carries x1 past max(x0); the sentinel must follow it,
-    # or the next step's element with one negative entry, at x1, reads
-    # the stale sentinel in its padded slot and steps too short
+    # the first step carries x1 past max(x0), and the next step's element
+    # with one negative entry, at x1, must read x1 in its padded slots too
+    # (a pad that stays at max(x0) steps too short)
     basis = graver_basis(IntMat(1, 5, ((-2, -2, 1, -3, -1),)))
     x0, w = (0, 1, 1, 2, 1), (0, -3, 0, -1, -1)
     wg = np.array([[dot(w, g) for g in basis.elements]], dtype=object)
@@ -450,7 +450,8 @@ def _spy(monkeypatch, module, name):
 
 def _kernel_spy(monkeypatch, name):
     """Records (on the exact view?, outcome) for each call of the ipsolve
-    kernel `name`; a call that raises records outcome None."""
+    kernel `name`; a call that raises records outcome None, as does a
+    call whose int64 guard trips."""
     calls = []
     fn = getattr(ipsolve, name)
 
@@ -461,8 +462,7 @@ def _kernel_spy(monkeypatch, name):
             out = fn(x0, *args)
             return out
         finally:
-            # a copy: augment_batch fills in the rows a guard tripped
-            calls.append((view.vals.dtype == object, copy.copy(out)))
+            calls.append((view.vals.dtype == object, out))
 
     monkeypatch.setattr(ipsolve, name, spy)
     return calls
@@ -478,7 +478,7 @@ def test_int64_guards_fall_back_to_the_exact_loop(monkeypatch):
     assert out.x == (top, 0) and out.value == top
     assert kernels == [(False, [out])]
     # an entry of x0 past the bound, then a weight past 2^62 / max |g|_1
-    for x0, w, first in (((0, INT64_BOUND), (1, 0), [(False, [None])]),
+    for x0, w, first in (((0, INT64_BOUND), (1, 0), [(False, None)]),
                          ((0, 3), (INT64_BOUND // 2, 0), [])):
         kernels.clear()
         out = augment_to_optimum(x0, segment, w)
@@ -492,7 +492,7 @@ def test_int64_guards_fall_back_to_the_exact_loop(monkeypatch):
     kernels.clear()
     out = augment_to_optimum((0, k), line, (1, 0))
     assert out == SolveOutcome.optimal((2 * k, 0), 2 * k)
-    assert kernels == [(False, [None]), (True, [out])]
+    assert kernels == [(False, None), (True, [out])]
     # x0 with a negative entry takes the exact view, whose first step
     # raises
     kernels.clear()
