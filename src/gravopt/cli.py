@@ -34,7 +34,8 @@ from .errors import (GravoptError, InfeasibleInstanceError,
 from .graver import graver_basis
 from .intlinalg import IntMat, format_matrix, parse_matrix
 from .ipsolve import INFEASIBLE, UNBOUNDED, solve_ip, solve_nfold_ip
-from .nfold import NFoldRhs, NFoldStencil, nfold_graver, nfold_matrix
+from .nfold import (NFoldRhs, NFoldStencil, canonical_placements,
+                    nfold_graver, nfold_matrix)
 from .zonotope import zonotope_vertices
 
 EXIT_OK = 0
@@ -194,10 +195,31 @@ def _cmd_graver(args, config: RunConfig) -> int:
 def _cmd_nfold_graver(args, config: RunConfig) -> int:
     stencil = parse_stencil(_read(args.stencil))
     basis = nfold_graver(stencil, args.n, config)
-    half = basis.canonical_half()
-    _emit(format_matrix(IntMat(len(half), basis.n, half)), args.output)
+    half = canonical_placements(basis, stencil.t)
+    _emit(format_placements(half, args.n, stencil.t), args.output)
     _summary(f"nfold-graver: n={args.n}, {len(half)} canonical elements")
     return EXIT_OK
+
+
+def format_placements(half: list, n: int, t: int) -> str:
+    """`format_matrix`'s text for n-fold rows given as (bricks, positions)
+    pairs: each row joins cached brick strings and the runs of zero
+    bricks between them, cut from one zero row."""
+    blank = " ".join("0" * (n * t))  # k zero bricks: blank[:2kt - 1]
+    texts: dict = {}
+    lines = [f"{len(half)} {n * t}"]
+    for bricks, positions in half:
+        parts, prev = [], -1
+        for brick, pos in zip((*bricks, None), (*positions, n)):
+            if pos > prev + 1:
+                parts.append(blank[:2 * (pos - prev - 1) * t - 1])
+            if brick is not None:
+                if brick not in texts:
+                    texts[brick] = " ".join(map(str, brick))
+                parts.append(texts[brick])
+            prev = pos
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_zonotope(args, config: RunConfig) -> int:

@@ -6,12 +6,15 @@ completion: seed with the signed lattice kernel basis, close under pair
 sums reduced to conformal normal form, then filter to minimal elements.
 The test oracle, a brute-force box enumeration of the same set, is
 `bruteforce.brute_force_graver`.  A basis also carries two array views
-of itself, built with numpy straight from its elements, a block of rows
-at a time, when first asked for: `GraverBasis.int64_view`, whose values
-are int64 and bounded, and `GraverBasis.exact_view`, whose values are
-Python ints.  The augmentation kernels and the projection
-`GraverBasis.project` run on either; the exact view is built only when a
-value is past an int64 guard.
+of itself, built when first asked for: `GraverBasis.int64_view`, whose
+values are int64 and bounded, and `GraverBasis.exact_view`, whose values
+are Python ints.  One builder, `_view`, makes both from the basis's
+nonzero entries as (element, column, value) arrays: a dense basis reads
+them off its elements with numpy, a block of rows at a time, and a
+lifted basis (`nfold.LiftedBasis`) hands them over from its bricks.  The
+augmentation kernels and the projection `GraverBasis.project` run on
+either view; the exact view is built only when a value is past an int64
+guard.
 """
 
 from __future__ import annotations
@@ -86,52 +89,36 @@ class Int64View(NamedTuple):
     max_l1: int
 
 
-def _int64_view(elements: tuple, n: int,
-                exact: bool = False) -> Optional[Int64View]:
-    """The view of the basis `elements` of length n, built a block of
-    rows at a time, so the dense |G| x n array is never held; None when
-    there are no elements.  With `exact` the values are Python ints and
-    nothing is bounded; otherwise they are int64, and the view is None
-    when a 1-norm reaches INT64_BOUND."""
-    if not elements:
+def _view(triples: Optional[tuple], size: int,
+          n: int) -> Optional[Int64View]:
+    """The view of a basis of `size` elements of length n, built from its
+    nonzero entries `triples` = (elem, cols, vals), in element then
+    column order; None when triples is None.  Values of dtype object give
+    the exact view, which bounds nothing; int64 values give the int64
+    view, None when an entry or a 1-norm reaches INT64_BOUND."""
+    if triples is None:
         return None
-    dtype = object if exact else np.int64
-    rows = max(1, VIEW_BLOCK_ENTRIES // max(n, 1))
-    elem, cols, vals = [], [], []
-    max_l1 = 0
-    for lo in range(0, len(elements), rows):
-        chunk = elements[lo:lo + rows]
-        try:
-            block = np.fromiter(itertools.chain.from_iterable(chunk),
-                                dtype=dtype, count=len(chunk) * n)
-        except OverflowError:  # an entry outside int64
-            return None
-        block = block.reshape(len(chunk), n)
-        if not exact and (block.min() <= -INT64_BOUND
-                          or block.max() >= INT64_BOUND):
-            return None
-        i, j = np.nonzero(block)
-        elem.append(i + lo)
-        cols.append(j)
-        vals.append(block[i, j])
-        mags = np.abs(block, out=block)
-        # a row sum is at most max|a| * n: summed in int64 below 2^63
-        if exact or int(mags.max()) * n < 1 << 63:
-            max_l1 = max(max_l1, int(mags.sum(axis=1).max()))
-        else:
-            max_l1 = max(max_l1, *(sum(map(abs, g)) for g in chunk))
-        if not exact and max_l1 >= INT64_BOUND:
-            return None
-    elem, cols, vals = (np.concatenate(a) for a in (elem, cols, vals))
-    size = len(elements)
+    elem, cols, vals = triples
+    exact = vals.dtype == object
+    if not exact and (vals.min() <= -INT64_BOUND
+                      or vals.max() >= INT64_BOUND):
+        return None
     counts = np.bincount(elem, minlength=size)
+    starts = _starts(counts)
+    mags = np.abs(vals)
+    # a 1-norm is at most max|a| * max(counts): summed in int64 below 2^63
+    if not exact and int(mags.max()) * int(counts.max()) >= 1 << 63:
+        mags = mags.astype(object)
+    max_l1 = int(np.add.reduceat(mags, starts[:-1]).max())
+    if not exact and max_l1 >= INT64_BOUND:
+        return None
     neg = vals < 0
     neg_elem, neg_cols, neg_mags = elem[neg], cols[neg], -vals[neg]
     neg_counts = np.bincount(neg_elem, minlength=size)
     meet_starts, meets = _grouped(cols, elem, n)
     reader_starts, readers = _grouped(neg_cols, neg_elem, n)
     return Int64View(
-        cols=cols, vals=vals, starts=_starts(counts),
+        cols=cols, vals=vals, starts=starts,
         supp_cols=_padded(elem, counts, cols, n),
         supp_vals=_padded(elem, counts, vals, 1),
         meet_starts=meet_starts, meets=meets,
@@ -176,12 +163,14 @@ def _first_nonzero_positive(v: Sequence[int]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraverBasis:
     """Sign-symmetric set of conformally minimal kernel vectors of `source`.
 
     `elements` holds the full +/- set in lexicographic order (the canonical
-    order used for every deterministic tie-break downstream).
+    order used for every deterministic tie-break downstream).  Two bases
+    are equal when their sources and elements are; a basis held in
+    another form (`nfold.LiftedBasis`) equals its dense counterpart.
     """
 
     elements: tuple  # tuple of IntVec, lex sorted, closed under negation
@@ -191,8 +180,19 @@ class GraverBasis:
     def n(self) -> int:
         return self.source.cols
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GraverBasis):
+            return NotImplemented
+        return (self.source, self.elements) == (other.source, other.elements)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.elements))
+
     def __len__(self) -> int:
         return len(self.elements)
+
+    def __getitem__(self, i: int) -> IntVec:
+        return self.elements[i]
 
     def __iter__(self):
         return iter(self.elements)
@@ -202,18 +202,38 @@ class GraverBasis:
         lexicographically sorted.  This is the serialization order."""
         return tuple(v for v in self.elements if _first_nonzero_positive(v))
 
+    def _triples(self, dtype) -> Optional[tuple]:
+        """(elem, cols, vals): the nonzero entries, in element then column
+        order, values of the given dtype, read a block of rows at a time,
+        so the dense |G| x n array is never held; None when there are
+        none or an entry is outside int64."""
+        n = self.n
+        rows = max(1, VIEW_BLOCK_ENTRIES // max(n, 1))
+        parts = []
+        for lo in range(0, len(self.elements), rows):
+            chunk = self.elements[lo:lo + rows]
+            try:
+                block = np.fromiter(itertools.chain.from_iterable(chunk),
+                                    dtype=dtype, count=len(chunk) * n)
+            except OverflowError:  # an entry outside int64
+                return None
+            i, j = np.nonzero(block.reshape(len(chunk), n))
+            parts.append((i + lo, j, block[i * n + j]))
+        if not parts:
+            return None
+        return tuple(np.concatenate(a) for a in zip(*parts))
+
     @functools.cached_property
     def int64_view(self) -> Optional[Int64View]:
-        """The basis as int64 arrays, built from `elements` on first use;
-        None when it is empty or a 1-norm reaches INT64_BOUND."""
-        return _int64_view(self.elements, self.n)
+        """The basis as int64 arrays, built on first use; None when it is
+        empty or an entry or a 1-norm reaches INT64_BOUND."""
+        return _view(self._triples(np.int64), len(self), self.n)
 
     @functools.cached_property
     def exact_view(self) -> Optional[Int64View]:
-        """The basis as arrays with Python-int values, built from
-        `elements` on first use, when a value is past an int64 guard;
-        None when it is empty."""
-        return _int64_view(self.elements, self.n, exact=True)
+        """The basis as arrays with Python-int values, built on first use,
+        when a value is past an int64 guard; None when it is empty."""
+        return _view(self._triples(object), len(self), self.n)
 
     def project(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
         """G.W^T as a |G| x d array for the d rows of W, row i the

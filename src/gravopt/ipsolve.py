@@ -130,7 +130,7 @@ def augment_batch(x0: Sequence[int], basis: GraverBasis, wg: np.ndarray,
     (module docstring).
     """
     _check_point(x0, basis)
-    if not basis.elements:
+    if not len(basis):
         return [SolveOutcome.optimal(x0, dot(w, x0)) for w in objectives]
     view = basis.int64_view
     outs = None
@@ -187,7 +187,7 @@ def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
     for q, top in enumerate(wg.max(axis=1).tolist()):
         if ray[q].any():
             outs[q] = SolveOutcome.unbounded(
-                basis.elements[view.nonneg[ray[q].argmax()]])
+                basis[int(view.nonneg[ray[q].argmax()])])
         elif top <= 0:
             outs[q] = SolveOutcome.optimal(x0, dot(objectives[q], x0))
         else:
@@ -253,7 +253,7 @@ def drive_nonnegative(x0: Sequence[int], basis: GraverBasis) -> tuple:
     coset meets the nonnegative orthant.  Runs on the basis's int64 view
     when the guard of the module docstring holds, and on its exact view
     otherwise."""
-    if not basis.elements:
+    if not len(basis):
         return tuple(x0)
     view = basis.int64_view
     x = None if view is None else _drive(x0, view)

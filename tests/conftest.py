@@ -16,6 +16,21 @@ from gravopt.errors import DimensionMismatchError, InternalInconsistencyError
 from gravopt.graver import INT64_BOUND, GraverBasis, Int64View, conformal_leq
 from gravopt.intlinalg import IntMat, dot, vec_sub
 from gravopt.ipsolve import SolveOutcome
+from gravopt.nfold import NFoldStencil
+
+# the 2x2 line-sum stencil: A1 = I_4, A2 = row and column sums of a layer
+TRANSPORT_2x2 = NFoldStencil(
+    IntMat.identity(4),
+    IntMat(4, 4, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1))))
+
+# the stencils of criterion 4 (the lift equals direct completion)
+STABILIZATION_STENCILS = (
+    NFoldStencil(IntMat(1, 2, ((1, 0),)), IntMat(1, 2, ((1, -1),))),
+    NFoldStencil(IntMat(1, 2, ((1, 1),)), IntMat(1, 2, ((1, -1),))),
+    NFoldStencil(IntMat(1, 2, ((1, 2),)), IntMat(1, 2, ((1, 1),))),
+    NFoldStencil(IntMat(2, 2, ((1, 0), (0, 1))), IntMat(1, 2, ((1, -2),))),
+    TRANSPORT_2x2,
+)
 
 
 # -- vector and matrix helpers only the tests use ---------------------------
@@ -227,8 +242,9 @@ def drive_exact(x0, basis: GraverBasis) -> tuple:
 
 def supports_int64_view(supports: tuple, n: int, exact: bool = False):
     """The view built in Python from a basis's supports
-    (`basis_supports`): the oracle for `graver._int64_view`, which builds
-    it with numpy from the elements.  With `exact` the values are Python
+    (`basis_supports`): the oracle for `GraverBasis.int64_view` and
+    `exact_view`, which `graver._view` builds with numpy from the basis's
+    nonzero entries.  With `exact` the values are Python
     ints and unbounded."""
     if not supports:
         return None
@@ -370,13 +386,32 @@ def seeded_transport(n, d, seed):
     return stencil, rhs, codec.encode_weights(arrays), maxlin
 
 
-def lifted_basis(stencil, n) -> list:
-    """The elements of the basis of nfold_matrix(stencil, n) lifted from
-    the level-g basis, g the stencil's Graver complexity, for any n >= g:
-    `nfold_graver` itself lifts only beyond max(g, 6) layers."""
+def lifted_basis(stencil, n):
+    """The package's lift (`nfold.LiftedBasis`) of the basis of
+    nfold_matrix(stencil, n) from the level-g basis, g the stencil's
+    Graver complexity, for any n >= g: `nfold_graver` itself lifts only
+    beyond max(g, 6) layers."""
     g = nfold.graver_complexity(stencil)
-    return nfold._lift_basis(nfold.nfold_graver(stencil, g), g, n,
-                             stencil.t, DEFAULT_CONFIG)
+    return nfold._lift_basis(stencil, g, n, DEFAULT_CONFIG)
+
+
+def dense_lift(stencil, n) -> tuple:
+    """The oracle for `lifted_basis`: every nonzero-brick sequence of a
+    level-g element placed into every increasing choice of n layers as a
+    dense n*t tuple, then deduplicated and sorted; also the number of
+    placements before deduplication."""
+    g, t = nfold.graver_complexity(stencil), stencil.t
+    lifted, placements = set(), 0
+    zero = (0,) * t
+    for elem in nfold.nfold_graver(stencil, g).elements:
+        bricks = [b for b in nfold.split_layers(elem, g, t) if any(b)]
+        for positions in itertools.combinations(range(n), len(bricks)):
+            layers = [zero] * n
+            for pos, brick in zip(positions, bricks):
+                layers[pos] = brick
+            lifted.add(tuple(v for layer in layers for v in layer))
+            placements += 1
+    return sorted(lifted), placements
 
 
 def cross3(u, v) -> tuple:

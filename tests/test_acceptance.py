@@ -6,8 +6,9 @@ import itertools
 import random
 import time
 
-from conftest import (enumerate_nfold, hull_extreme_points, hull_vertices_2d,
-                      lifted_basis, random_matrix)
+from conftest import (STABILIZATION_STENCILS, enumerate_nfold,
+                      hull_extreme_points, hull_vertices_2d, lifted_basis,
+                      random_matrix)
 from gravopt.apps import (PackingInstance, PartitionInstance, build_packing,
                           build_partition, build_threeway, cluster_variance)
 from gravopt.bruteforce import brute_convex_max, brute_force_graver
@@ -20,9 +21,6 @@ from gravopt.nfold import (NFoldRhs, NFoldStencil, graver_complexity,
                            nfold_matrix, nproduct)
 from gravopt.zonotope import zonotope_vertices
 
-TRANSPORT_2x2 = NFoldStencil(
-    IntMat.identity(4),
-    IntMat(4, 4, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1))))
 
 # criterion 7 feeds criterion 8: accumulated oracle-identity audit counters
 IDENTITY_AUDIT = {"checks": 0, "failures": 0, "queries": 0}
@@ -100,14 +98,7 @@ def test_criterion_03_graver_oracle_suite(capsys):
 # -- 4 ----------------------------------------------------------------------
 
 def test_criterion_04_stabilization_consistency(capsys):
-    stencils = [
-        NFoldStencil(IntMat(1, 2, ((1, 0),)), IntMat(1, 2, ((1, -1),))),
-        NFoldStencil(IntMat(1, 2, ((1, 1),)), IntMat(1, 2, ((1, -1),))),
-        NFoldStencil(IntMat(1, 2, ((1, 2),)), IntMat(1, 2, ((1, 1),))),
-        NFoldStencil(IntMat(2, 2, ((1, 0), (0, 1))),
-                     IntMat(1, 2, ((1, -2),))),
-        TRANSPORT_2x2,
-    ]
+    stencils = STABILIZATION_STENCILS
     t0 = time.perf_counter()
     checked, agree = 0, 0
     for st in stencils:

@@ -99,9 +99,14 @@ LINE_SUM_STENCIL = ("4 4 4\n4 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
                     "4 4\n1 1 0 0\n0 0 1 1\n1 0 1 0\n0 1 0 1\n")
 
 
+# n = 7 is the first n that is lifted rather than completed; n = 128 is
+# the nfold-graver-n128 benchmark workload (perfbench/expected.json holds
+# the digest of the list of this one digest)
 @pytest.mark.parametrize("n, digest", [
+    (7, "f4b699f0ba85abfdfbf7dd3ecd7c382a768dd9470b0aff8c62a7cd6265ce3838"),
     (8, "ee7340d1cc421f0710384beb9e1d48fd1c4124409277539915fa7d44075b003d"),
     (16, "67c61caf8e386c67dfe2466e1bfd0e5f74864831a6fef5155abd7a22fa473739"),
+    (128, "e4954272122250620e4508b79a50d771042ac90a60325e14030ec4799100275d"),
 ])
 def test_nfold_graver_output_is_pinned(files, tmp_path, capsys, n, digest):
     stencil = files("st.txt", LINE_SUM_STENCIL)
@@ -110,6 +115,15 @@ def test_nfold_graver_output_is_pinned(files, tmp_path, capsys, n, digest):
                      "--output", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert f"{n * (n - 1) // 2} canonical elements" in capsys.readouterr().err
+
+
+def test_graver_output_is_pinned(files, tmp_path):
+    # the graver command keeps format_matrix
+    mat = files("b.mat", "2 4\n1 1 1 1\n1 2 3 4\n")
+    out = tmp_path / "basis.txt"
+    assert dispatch(["graver", mat, "--output", str(out)]) == EXIT_OK
+    assert out.read_text() == ("5 4\n0 1 -2 1\n1 -2 1 0\n1 -1 -1 1\n"
+                               "1 0 -3 2\n2 -3 0 1\n")
 
 
 def test_zonotope_subcommand(files, capsys):

@@ -171,24 +171,35 @@ def test_graver_basis_is_hashable_value_object():
     assert isinstance(graver_basis(A), GraverBasis)
 
 
+def _fresh_view(basis, exact=False):
+    """The view `GraverBasis.int64_view` (or, with `exact`, `exact_view`)
+    builds, built again rather than read from the cache."""
+    return graver._view(basis._triples(object if exact else np.int64),
+                        len(basis), basis.n)
+
+
 def _assert_same_view(basis):
-    """Both views of the basis equal the Python oracle's; an exact view's
-    values are Python ints."""
+    """Both views of the basis, as built and as cached, equal the Python
+    oracle's; an exact view's values are Python ints."""
     for exact in (False, True):
-        view = graver._int64_view(basis.elements, basis.n, exact)
-        oracle = supports_int64_view(basis_supports(basis), basis.n, exact)
-        if oracle is None:
-            assert view is None
+        _assert_view_equals(_fresh_view(basis, exact), basis, exact)
+        _assert_view_equals(basis.exact_view if exact else basis.int64_view,
+                            basis, exact)
+
+
+def _assert_view_equals(view, basis, exact):
+    oracle = supports_int64_view(basis_supports(basis), basis.n, exact)
+    if oracle is None:
+        assert view is None
+        return
+    for field, want in zip(oracle._fields, oracle):
+        got = getattr(view, field)
+        if field == "max_l1":
+            assert type(got) is int and got == want
             continue
-        for field, want in zip(oracle._fields, oracle):
-            got = getattr(view, field)
-            if field == "max_l1":
-                assert type(got) is int and got == want
-                continue
-            assert got.dtype == want.dtype and np.array_equal(got, want), \
-                field
-            if got.dtype == object:
-                assert all(type(a) is int for a in got.flat), field
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+        if got.dtype == object:
+            assert all(type(a) is int for a in got.flat), field
 
 
 def test_int64_view_matches_the_python_oracle(monkeypatch):
@@ -247,11 +258,11 @@ def test_int64_view_guards_its_entries_and_one_norms():
     ]
     for elements, max_l1 in cases:
         basis = GraverBasis(elements, IntMat(0, len(elements[0]), ()))
-        view = graver._int64_view(elements, basis.n)
+        view = basis.int64_view
         assert (view and view.max_l1) == max_l1, elements
         # the exact view bounds nothing
-        exact = graver._int64_view(elements, basis.n, exact=True)
+        exact = basis.exact_view
         assert exact.max_l1 == sum(map(abs, elements[0])), elements
         _assert_same_view(basis)
-    assert graver._int64_view((), 3) is None
-    assert graver._int64_view((), 3, exact=True) is None
+    empty = GraverBasis((), IntMat(0, 3, ()))
+    assert empty.int64_view is None and empty.exact_view is None

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import augment_exact, drive_exact, random_matrix
-from gravopt import cli, convexopt, graver, ipsolve
+from conftest import (TRANSPORT_2x2, augment_exact, drive_exact,
+                      random_matrix, seeded_transport)
+from gravopt import cli, convexopt, graver, ipsolve, nfold
 from gravopt.apps import build_threeway
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
 from gravopt.convexopt import (UNBOUNDED_POLYHEDRON, MaxLinearObjective,
@@ -502,8 +503,26 @@ def test_int64_guards_fall_back_to_the_exact_loop(monkeypatch):
     assert kernels == [(True, None)]
 
 
+def test_solve_paths_never_build_the_lifted_elements(monkeypatch, tmp_path):
+    bases = _spy(monkeypatch, convexopt, "nfold_graver")
+    stencil, rhs, weights, _ = seeded_transport(32, 2, 4032)
+    out = solve_convex_nfold(stencil, 32, weights, rhs, SquaredNormObjective())
+    basis, = bases
+    assert out.stats.oracle_queries > 10
+    assert isinstance(basis, nfold.LiftedBasis) and len(basis) == 992
+    assert "int64_view" in basis.__dict__
+    assert "elements" not in basis.__dict__
+    printed = _spy(monkeypatch, cli, "nfold_graver")
+    path = tmp_path / "st.txt"
+    path.write_text(cli.format_stencil(TRANSPORT_2x2))
+    assert cli.dispatch(["nfold-graver", "--stencil", str(path), "--n", "32",
+                         "--output", str(tmp_path / "out.txt")]) == 0
+    basis, = printed
+    assert len(basis) == 992 and "elements" not in basis.__dict__
+
+
 def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
-    builds = _spy(monkeypatch, graver, "_int64_view")
+    builds = _spy(monkeypatch, graver, "_view")
     bases = _spy(monkeypatch, convexopt, "nfold_graver")
     stencil, rhs, weights = _transport_2x2(random.Random(5), 8, 2)
     out = solve_convex_nfold(stencil, 8, weights, rhs, SquaredNormObjective())
@@ -590,7 +609,8 @@ def test_phase1_guards_fall_back_to_the_exact_loop(monkeypatch):
     limit = ipsolve._penalty_limit(line.int64_view)
     # the limit is the largest M with max|g|_1 (2M + 1) < 2^62
     for l1 in range(1, 9):
-        m = ipsolve._penalty_limit(graver._int64_view(((l1,), (-l1,)), 1))
+        pm = GraverBasis(((l1,), (-l1,)), IntMat(0, 1, ()))
+        m = ipsolve._penalty_limit(pm.int64_view)
         assert l1 * (2 * m + 1) < INT64_BOUND <= l1 * (2 * m + 3)
 
     def drive(x0, basis=line):

@@ -2,20 +2,29 @@ import itertools
 
 import pytest
 
-from conftest import lifted_basis, vstack
+from conftest import (STABILIZATION_STENCILS, TRANSPORT_2x2, dense_lift,
+                      lifted_basis, vstack)
+from test_graver import _assert_same_view
 from gravopt import nfold
 from gravopt.bruteforce import brute_force_graver
 from gravopt.config import RunConfig
 from gravopt.errors import ResourceLimitError
-from gravopt.graver import graver_basis
+from gravopt.graver import GraverBasis, graver_basis
 from gravopt.intlinalg import IntMat, mat_vec
 from gravopt.nfold import (NFoldRhs, NFoldStencil, brick_type,
                            graver_complexity, nfold_graver, nfold_matrix,
                            nproduct, split_layers)
 
-TRANSPORT_2x2 = NFoldStencil(
-    IntMat.identity(4),
-    IntMat(4, 4, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1))))
+# a third column free in both blocks: the level-2 elements that move it in
+# one layer, (0, 0, 1, 0, 0, 0) and (0, 0, 0, 0, 0, 1), place the same
+# brick, so their placements collapse onto each other
+FREE_COLUMN = NFoldStencil(IntMat(1, 3, ((1, 1, 0),)),
+                           IntMat(1, 3, ((1, -1, 0),)))
+
+# Graver complexity 3, with level-3 elements of one and two nonzero
+# bricks: at n = 7, 1008 placements give 476 distinct elements
+SPARSE_LEVEL_3 = NFoldStencil(IntMat(1, 3, ((1, 1, 1),)),
+                              IntMat(1, 3, ((1, 0, -1),)))
 
 
 def test_nfold_matrix_layout():
@@ -63,6 +72,10 @@ def test_nfold_n1_equals_stacked_graver():
 def test_trivial_stencil_has_empty_basis():
     st = NFoldStencil(IntMat(1, 1, ((1,),)), IntMat(1, 1, ((1,),)))
     assert len(nfold_graver(st, 3)) == 0
+    # lifted from an empty level-1 basis: no entries, so no views
+    lifted = nfold_graver(st, 8)
+    assert isinstance(lifted, nfold.LiftedBasis) and len(lifted) == 0
+    assert lifted.int64_view is None and lifted.exact_view is None
 
 
 def test_graver_complexity_examples():
@@ -89,6 +102,7 @@ def test_lifting_matches_direct_completion():
         NFoldStencil(IntMat(1, 2, ((1, 0),)), IntMat(1, 2, ((1, -1),))),
         NFoldStencil(IntMat(1, 2, ((1, 1),)), IntMat(1, 2, ((1, -1),))),
         TRANSPORT_2x2,
+        FREE_COLUMN,
     ]
     for st in stencils:
         g = graver_complexity(st)
@@ -96,6 +110,41 @@ def test_lifting_matches_direct_completion():
             lifted = lifted_basis(st, n)
             direct = graver_basis(nfold_matrix(st, n))
             assert set(lifted) == set(direct), (st, n)
+
+
+def _first_nonzero_positive(v):
+    return next(a for a in v if a) > 0
+
+
+def test_lift_matches_the_dense_oracle():
+    collapsed = 0
+    for st in (*STABILIZATION_STENCILS, SPARSE_LEVEL_3):
+        g = graver_complexity(st)
+        for n in range(g + 1, 11):
+            lifted = lifted_basis(st, n)
+            dense, placements = dense_lift(st, n)
+            # length, single elements and the canonical half are read
+            # without building the dense elements
+            assert len(lifted) == len(dense), (st, n)
+            assert [lifted[i] for i in range(len(lifted))] == dense
+            assert lifted.canonical_half() == tuple(
+                filter(_first_nonzero_positive, dense))
+            assert "elements" not in lifted.__dict__
+            assert lifted.elements == tuple(dense)
+            assert lifted == GraverBasis(tuple(dense), lifted.source)
+            _assert_same_view(lifted)
+            collapsed += len(dense) < placements
+    assert collapsed
+
+
+def test_canonical_placements_of_a_completed_basis():
+    # below the lifting threshold the basis is completed; its placements
+    # are split out of its dense elements, and match the lift's
+    basis = nfold_graver(TRANSPORT_2x2, 5)
+    lifted = lifted_basis(TRANSPORT_2x2, 5)
+    assert not isinstance(basis, nfold.LiftedBasis)
+    assert nfold.canonical_placements(basis, 4) == lifted.half_placements()
+    assert lifted.canonical_half() == basis.canonical_half()
 
 
 def test_force_lift_is_not_an_option():
@@ -125,6 +174,33 @@ def test_lifted_elements_are_kernel_vectors():
 def test_lift_cap_guard():
     with pytest.raises(ResourceLimitError):
         nfold_graver(TRANSPORT_2x2, 40, RunConfig(lift_cap=10))
+    # two level-2 elements of two bricks each: 2 C(40, 2) = 1560
+    # placements, the cap trips one below that
+    assert len(nfold_graver(TRANSPORT_2x2, 40, RunConfig(lift_cap=1560))) \
+        == 1560
+    with pytest.raises(ResourceLimitError, match="exceeds cap 1559"):
+        nfold_graver(TRANSPORT_2x2, 40, RunConfig(lift_cap=1559))
+    # collapsing placements count before deduplication
+    assert len(nfold_graver(SPARSE_LEVEL_3, 7, RunConfig(lift_cap=1008))) \
+        == 476
+    with pytest.raises(ResourceLimitError, match="exceeds cap 1007"):
+        nfold_graver(SPARSE_LEVEL_3, 7, RunConfig(lift_cap=1007))
+    # checked before anything is placed: 2 C(10^6, 2) placements
+    with pytest.raises(ResourceLimitError, match="placement count"):
+        nfold_graver(TRANSPORT_2x2, 10 ** 6)
+
+
+def test_basis_cap_guards_the_deduplicated_lifted_size():
+    assert len(nfold_graver(TRANSPORT_2x2, 40, RunConfig(basis_cap=1560))) \
+        == 1560
+    with pytest.raises(ResourceLimitError,
+                       match="lifted basis of 1560 elements exceeds cap 1559"):
+        nfold_graver(TRANSPORT_2x2, 40, RunConfig(basis_cap=1559))
+    assert len(nfold_graver(SPARSE_LEVEL_3, 7, RunConfig(basis_cap=476))) \
+        == 476
+    with pytest.raises(ResourceLimitError,
+                       match="lifted basis of 476 elements exceeds cap 475"):
+        nfold_graver(SPARSE_LEVEL_3, 7, RunConfig(basis_cap=475))
 
 
 def test_nfold_graver_deterministic_across_calls():
