@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""End-to-end demo of the three application reductions.
+"""End-to-end demo of the three application reductions and of a plain A.
 
 Builds one transportation, one bin-packing, and one balanced-clustering
 instance, solves each through the convex n-fold pipeline, and prints the
-decoded solutions.  Everything is exact integer/rational arithmetic, so
+decoded solutions.  A last section solves a system given as a plain
+matrix through the same pipeline (`solve_convex`) and checks it against
+exhaustive search.  Everything is exact integer/rational arithmetic, so
 the output is reproducible bit for bit.
 
 Usage: python scripts/applications_demo.py
@@ -13,8 +15,10 @@ from __future__ import annotations
 
 from gravopt.apps import (PackingInstance, PartitionInstance, build_packing,
                           build_partition, build_threeway, cluster_variance)
-from gravopt.convexopt import MaxLinearObjective, SquaredNormObjective, \
-    solve_convex_nfold
+from gravopt.bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
+from gravopt.convexopt import MaxLinearObjective, ObjectiveWeights, \
+    SquaredNormObjective, solve_convex, solve_convex_nfold
+from gravopt.intlinalg import IntMat
 
 
 def transport_demo() -> None:
@@ -76,6 +80,22 @@ def clustering_demo() -> None:
     print()
 
 
+def plain_matrix_demo() -> None:
+    print("== plain matrix: x1+x2+x3 = 4, x1+2x2+x4 = 5, squared norm ==")
+    A = IntMat(2, 4, ((1, 1, 1, 0), (1, 2, 0, 1)))
+    b = (4, 5)
+    weights = ObjectiveWeights.make([(1, -1, 0, 2), (0, 1, -2, 1)])
+    out = solve_convex(A, b, weights, SquaredNormObjective())
+    print("status:", out.status)
+    if out.is_optimal:
+        points = enumerate_feasible(A, b, EnumBudget(bounds=(4, 2, 4, 5)))
+        bx, bz = brute_convex_max(points, weights, SquaredNormObjective())
+        print("  solver x =", out.x, " z =", out.z)
+        print("  exhaustive optimum over", len(points), "points: x =", bx,
+              " z =", bz)
+    print()
+
+
 def _balanced_partitions(n: int):
     import itertools
     half = n // 2
@@ -88,3 +108,4 @@ if __name__ == "__main__":
     transport_demo()
     packing_demo()
     clustering_demo()
+    plain_matrix_demo()

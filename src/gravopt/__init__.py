@@ -1,9 +1,9 @@
-"""Exact convex integer maximization over n-fold systems.
+"""Exact convex integer maximization, polynomial on n-fold systems.
 
-Solves max c(w_1.x, .., w_d.x) subject to Ax = b, x >= 0 integer, by
-computing Graver bases, enumerating zonotope vertices of the projected
-edge directions, and answering one linear integer program per vertex.
-Everything runs in exact integer (or rational) arithmetic.
+Solves max c(w_1.x, .., w_d.x) subject to Ax = b, x >= 0 integer, for
+any A, by computing Graver bases, enumerating zonotope vertices of the
+projected edge directions, and answering one linear integer program per
+vertex.  Everything runs in exact integer (or rational) arithmetic.
 """
 
 from .apps import (MultiwayInstance, PackingInstance, PartitionInstance,
@@ -15,7 +15,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .convexopt import (CallbackObjective, ConvexObjective, ConvexOutcome,
                         LinearObjective, MaxLinearObjective, ObjectiveWeights,
                         SquaredNormObjective, convex_maximize,
-                        solve_convex_nfold)
+                        solve_convex, solve_convex_nfold)
 from .errors import (DimensionMismatchError, GravoptError,
                      InfeasibleInstanceError, InternalInconsistencyError,
                      ResourceLimitError, UsageError)
@@ -45,6 +45,6 @@ __all__ = [
     "convex_maximize", "dot", "enumerate_feasible", "find_feasible",
     "format_matrix", "graver_basis", "graver_complexity",
     "lattice_kernel_basis", "mat_vec", "nfold_graver", "nfold_matrix",
-    "nproduct", "parse_matrix", "rank", "solve_convex_nfold", "solve_integer",
-    "solve_ip", "solve_nfold_ip", "zonotope_vertices",
+    "nproduct", "parse_matrix", "rank", "solve_convex", "solve_convex_nfold",
+    "solve_integer", "solve_ip", "solve_nfold_ip", "zonotope_vertices",
 ]

@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 from dataclasses import fields
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .apps import (MultiwayInstance, PackingInstance, PartitionInstance,
                    build_multiway, build_packing, build_partition,
@@ -123,12 +123,12 @@ def _read_matrix(path: str) -> IntMat:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _write_atomic(path: str, payload: str) -> None:
+def _write_atomic(path: str, lines: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gravopt-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -136,11 +136,13 @@ def _write_atomic(path: str, payload: str) -> None:
         raise
 
 
-def _emit(payload: str, output) -> None:
+def _emit(payload: str | Iterable[str], output) -> None:
+    # a str is written whole: writelines would write it a character a time
+    lines = [payload] if isinstance(payload, str) else payload
     if output:
-        _write_atomic(output, payload)
+        _write_atomic(output, lines)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(lines)
 
 
 def _summary(msg: str) -> None:
@@ -201,13 +203,13 @@ def _cmd_nfold_graver(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def format_placements(half: list, n: int, t: int) -> str:
-    """`format_matrix`'s text for n-fold rows given as (bricks, positions)
-    pairs: each row joins cached brick strings and the runs of zero
-    bricks between them, cut from one zero row."""
+def format_placements(half: list, n: int, t: int) -> Iterator[str]:
+    """`format_matrix`'s text, line by line, for n-fold rows given as
+    (bricks, positions) pairs: each row joins cached brick strings and the
+    runs of zero bricks between them, cut from one zero row."""
     blank = " ".join("0" * (n * t))  # k zero bricks: blank[:2kt - 1]
     texts: dict = {}
-    lines = [f"{len(half)} {n * t}"]
+    yield f"{len(half)} {n * t}\n"
     for bricks, positions in half:
         parts, prev = [], -1
         for brick, pos in zip((*bricks, None), (*positions, n)):
@@ -218,8 +220,7 @@ def format_placements(half: list, n: int, t: int) -> str:
                     texts[brick] = " ".join(map(str, brick))
                 parts.append(texts[brick])
             prev = pos
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+        yield " ".join(parts) + "\n"
 
 
 def _cmd_zonotope(args, config: RunConfig) -> int:
@@ -271,7 +272,7 @@ def _cmd_solve_ip(args, config: RunConfig) -> int:
     payload = json.dumps(doc) + "\n"
     if args.solution:
         _write_atomic(args.solution,
-                      format_matrix(IntMat(1, len(out.x), (out.x,))))
+                      [format_matrix(IntMat(1, len(out.x), (out.x,)))])
     _emit(payload, args.output)
     _summary(f"solve-ip: optimal value {out.value}")
     return EXIT_OK
@@ -382,6 +383,16 @@ def _load_instance(path: str, accepted: tuple):
     if schema not in accepted:
         raise UsageError(
             f"{path}: schema {schema!r} not among {sorted(accepted)}")
+    # the loaders coerce with int(), which would truncate 1.7 or read "1"
+    stack = [(key, v) for key, v in doc.items() if key != "schema"]
+    while stack:
+        key, value = stack.pop()
+        if isinstance(value, (dict, list)):
+            items = value.values() if isinstance(value, dict) else value
+            stack.extend((key, v) for v in items)
+        elif value is not None and type(value) is not int:  # not a bool
+            raise UsageError(
+                f"{path}: field {key!r} holds {value!r}, not an integer")
     try:
         return schema, LOADERS[schema](doc)
     except KeyError as exc:

@@ -18,14 +18,17 @@ h = c^T W of a vertex certificate c is one product, in int64 when
 |c|_1 * max|W| < 2^62.  All these bounds cap every partial sum, so no
 int64 value overflows.
 
-`solve_convex_nfold` asks its vertex queries in chunks: since
-h.g = c.(W.g), the scores of a chunk of certificates C are the rows of
-C.P^T, computed in int64 when |c|_1 * max|P| < 2^62 for every c in it
-and on Python ints otherwise, and `ipsolve.augment_batch` steps them all
-at once.  A chunk holds max(8, CHUNK_ENTRIES // |G|) queries, so its
-score array stays near CHUNK_ENTRIES entries.  The replies are compared
-in vertex order by the same loop as `convex_maximize`'s, so a chunk's
-replies after an unbounded one are computed but never counted.
+`solve_convex(A, b, W, c)` runs the pipeline on any A, with one Graver
+basis for phase I, for the directions and for the oracle: graver_basis(A)
+unless the caller passes one, as `solve_convex_nfold` passes the n-fold
+basis.  It asks its vertex queries in chunks: since h.g = c.(W.g), the
+scores of a chunk of certificates C are the rows of C.P^T, computed in
+int64 when |c|_1 * max|P| < 2^62 for every c in it and on Python ints
+otherwise, and `ipsolve.augment_batch` steps them all at once.  A chunk
+holds max(8, CHUNK_ENTRIES // |G|) queries, so its score array stays
+near CHUNK_ENTRIES entries.  The replies are compared in vertex order by
+the same loop as `convex_maximize`'s, so a chunk's replies after an
+unbounded one are computed but never counted.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, InternalInconsistencyError
 from .graver import INT64_BOUND, GraverBasis
-from .intlinalg import dot
-from .ipsolve import (INFEASIBLE, UNBOUNDED, augment_batch,
+from .intlinalg import IntMat, dot
+from .ipsolve import (INFEASIBLE, UNBOUNDED, _check_objective, augment_batch,
                       augment_to_optimum, find_feasible)
 from .nfold import NFoldRhs, NFoldStencil, nfold_graver
 from .zonotope import zonotope_vertices
@@ -281,26 +284,29 @@ def _batched_replies(x0: tuple, basis: GraverBasis,
         yield from zip(hs, augment_batch(x0, basis, wg, hs))
 
 
+def solve_convex(A: IntMat, b: Sequence[int], weights: ObjectiveWeights,
+                 objective: ConvexObjective,
+                 config: RunConfig = DEFAULT_CONFIG,
+                 basis: Optional[GraverBasis] = None) -> ConvexOutcome:
+    """Full pipeline (module docstring): phase I, then the zonotope driver
+    with the basis as directions and batched augmentation as oracle."""
+    _check_objective(weights.rows[0], A.cols)
+    feas, basis = find_feasible(A, b, basis, config)
+    if feas.status == INFEASIBLE:
+        return ConvexOutcome(INFEASIBLE_OUTCOME)
+    x0, P = feas.x, basis.project(weights.rows)
+    return _search(functools.partial(augment_to_optimum, x0, basis), weights,
+                   P, objective, config,
+                   functools.partial(_batched_replies, x0, basis, weights, P))
+
+
 def solve_convex_nfold(stencil: NFoldStencil, n: int,
                        weights: ObjectiveWeights, b: NFoldRhs,
                        objective: ConvexObjective,
                        config: RunConfig = DEFAULT_CONFIG) -> ConvexOutcome:
-    """Full pipeline: Graver basis of the n-fold matrix as edge-direction
-    cover, augmentation as the linear oracle, then the zonotope driver;
-    the vertex queries run in batches on the basis's projection table."""
-    if weights.n != n * stencil.t:
-        raise DimensionMismatchError(
-            f"objective rows of length {weights.n}, system has {n * stencil.t} variables")
+    """`solve_convex` on the n-fold matrix with its n-fold basis."""
+    _check_objective(weights.rows[0], n * stencil.t)
     b.check_shape(stencil, n)
     basis = nfold_graver(stencil, n, config)
-    feas = find_feasible(stencil, n, b, config, basis=basis)
-    if feas.status == INFEASIBLE:
-        return ConvexOutcome(INFEASIBLE_OUTCOME)
-    x0 = feas.x
-
-    def lip(w):
-        return augment_to_optimum(x0, basis, w)
-
-    P = basis.project(weights.rows)
-    return _search(lip, weights, P, objective, config,
-                   functools.partial(_batched_replies, x0, basis, weights, P))
+    return solve_convex(basis.source, b.concat(), weights, objective, config,
+                        basis)

@@ -1,5 +1,10 @@
 """Linear integer programming by Graver-basis augmentation.
 
+`find_feasible` is phase I on any Ax = b: a lattice solution, then
+augmentation with the basis passed in, or else graver_basis(A), built
+only once a lattice solution exists.  `solve_ip` adds phase II, and
+`solve_nfold_ip` only supplies the n-fold basis.
+
 Both phases are the same greedy: one integer score per candidate in
 canonical basis order, a step along the first largest positive score,
 then re-scores of only the candidates that read a moved coordinate.
@@ -66,7 +71,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, InternalInconsistencyError
 from .graver import INT64_BOUND, GraverBasis, Int64View, graver_basis
 from .intlinalg import IntMat, dot, solve_integer
-from .nfold import NFoldRhs, NFoldStencil, nfold_graver, nfold_matrix
+from .nfold import NFoldRhs, NFoldStencil, nfold_graver
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -337,51 +342,39 @@ def _best_penalty_steps(xs: np.ndarray, vals: np.ndarray) -> tuple:
     return np.where(improves, top, 0), np.where(improves, low, 0)
 
 
-def find_feasible(stencil: NFoldStencil, n: int, b: NFoldRhs,
-                  config: RunConfig = DEFAULT_CONFIG,
-                  basis: Optional[GraverBasis] = None) -> SolveOutcome:
-    """Phase I for the n-fold system: lattice solution first, then drive
-    the negative entries out with the system's own basis.  The returned
-    Optimal carries a feasible point and value 0 (objective ignored)."""
-    b.check_shape(stencil, n)
-    A = nfold_matrix(stencil, n)
-    x = solve_integer(A, b.concat())
-    if x is None:
-        return SolveOutcome.infeasible()
-    if basis is None:
-        basis = nfold_graver(stencil, n, config)
-    x = drive_nonnegative(x, basis)
-    if min(x, default=0) < 0:
-        return SolveOutcome.infeasible()
-    return SolveOutcome.optimal(x, 0)
+def find_feasible(A: IntMat, b: Sequence[int],
+                  basis: Optional[GraverBasis] = None,
+                  config: RunConfig = DEFAULT_CONFIG) -> tuple:
+    """Phase I (module docstring).  Returns (outcome, basis): an Optimal
+    outcome carries a feasible point and value 0, and the basis is the
+    one used, None when no lattice point exists and none was given."""
+    x = solve_integer(A, tuple(b))
+    if x is not None:
+        basis = graver_basis(A, config) if basis is None else basis
+        x = drive_nonnegative(x, basis)
+    if x is None or min(x, default=0) < 0:
+        return SolveOutcome.infeasible(), basis
+    return SolveOutcome.optimal(x, 0), basis
 
 
 def solve_nfold_ip(stencil: NFoldStencil, n: int, w: Sequence[int],
                    b: NFoldRhs,
                    config: RunConfig = DEFAULT_CONFIG) -> SolveOutcome:
-    """The linear integer programming oracle for n-fold systems."""
+    """`solve_ip` on the n-fold matrix with its n-fold basis."""
     _check_objective(w, n * stencil.t)
     b.check_shape(stencil, n)
     basis = nfold_graver(stencil, n, config)
-    feas = find_feasible(stencil, n, b, config, basis=basis)
-    if not feas.is_optimal:
-        return feas
-    return augment_to_optimum(feas.x, basis, w)
+    return solve_ip(basis.source, b.concat(), w, config, basis)
 
 
 def solve_ip(A: IntMat, b: Sequence[int], w: Sequence[int],
-             config: RunConfig = DEFAULT_CONFIG) -> SolveOutcome:
-    """Generic path: augmentation with a directly computed basis of A.
-    Correct at desk scale; carries no polynomiality claim."""
+             config: RunConfig = DEFAULT_CONFIG,
+             basis: Optional[GraverBasis] = None) -> SolveOutcome:
+    """Linear IP on any A: phases I and II with `basis` (module docstring).
+    Correct at desk scale; polynomial with an n-fold basis."""
     _check_objective(w, A.cols)
-    x = solve_integer(A, tuple(b))
-    if x is None:
-        return SolveOutcome.infeasible()
-    basis = graver_basis(A, config)
-    x = drive_nonnegative(x, basis)
-    if min(x, default=0) < 0:
-        return SolveOutcome.infeasible()
-    return augment_to_optimum(x, basis, w)
+    feas, basis = find_feasible(A, b, basis, config)
+    return augment_to_optimum(feas.x, basis, w) if feas.is_optimal else feas
 
 
 def _check_objective(w: Sequence[int], cols: int) -> None:

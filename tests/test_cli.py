@@ -359,6 +359,30 @@ def test_malformed_instances_are_usage_errors(files, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def _with_first_entry(value, entry):
+    """A copy of a nested list with its first scalar replaced by entry."""
+    if isinstance(value, list):
+        return [_with_first_entry(value[0], entry)] + value[1:]
+    return entry
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("transport", TRANSPORT_INSTANCE, "u"),
+    ("pack", PACK_INSTANCE, "weights"),
+    ("partition", PARTITION_INSTANCE, "items"),
+    ("verify", TRANSPORT_INSTANCE, "z"),
+], ids=["transport", "pack", "partition", "verify"])
+def test_non_integer_fields_are_usage_errors(files, capsys, command, doc,
+                                             field):
+    # int() would read each of these as 1, or truncate 1.7 to it
+    for entry in (1.7, True, "1"):
+        bad = dict(doc, **{field: _with_first_entry(doc[field], entry)})
+        inst = files("bad.json", json.dumps(bad))
+        assert dispatch([command, inst]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            f"field {field!r} holds {entry!r}, not an integer\n")
+
+
 def test_internal_fault_has_its_own_exit_code(files, monkeypatch, capsys):
     gens = files("g.mat", "1 2\n1 1\n")
     for fault in (InternalInconsistencyError("invariant failed"),

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_nfold, hull_edges_2d, seeded_transport
+from conftest import (enumerate_nfold, hull_edges_2d, random_matrix,
+                      seeded_transport)
+from gravopt import ipsolve
 from gravopt.apps import PartitionInstance, build_partition, build_threeway
 from gravopt.bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
 from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
@@ -16,11 +18,11 @@ from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
                                ObjectiveWeights,
                                SquaredNormObjective, convex_maximize,
                                lift_normal, project_directions,
-                               solve_convex_nfold)
+                               solve_convex, solve_convex_nfold)
 from gravopt.graver import INT64_BOUND, graver_basis
-from gravopt.intlinalg import IntMat, dot, rank
+from gravopt.intlinalg import IntMat, dot, mat_vec, rank
 from gravopt.ipsolve import UNBOUNDED, SolveOutcome, solve_ip
-from gravopt.nfold import NFoldRhs, NFoldStencil, nfold_graver
+from gravopt.nfold import NFoldRhs, NFoldStencil, nfold_graver, nfold_matrix
 from gravopt.zonotope import zonotope_vertices
 
 SEGMENT = IntMat(1, 2, ((1, 1),))  # x1 + x2 = b, the 4-point example
@@ -239,6 +241,98 @@ def test_d3_transport_matches_bruteforce():
             assert objective.compare_leq(bz, out.z)
             assert objective.compare_leq(out.z, bz)
     assert top_rank == 3
+
+
+def _plain_instance(rng, bounded):
+    """A random small A, with an all-positive last row when bounded; b from
+    a random point three times in four, else drawn at random; d = 1..3
+    weight rows in [-2, 2]."""
+    A = random_matrix(rng, max_rows=2, max_cols=4)
+    if bounded:
+        top = tuple(rng.randint(1, 2) for _ in range(A.cols))
+        A = IntMat(A.rows + 1, A.cols, A.data + (top,))
+    if rng.random() < 0.75:
+        b = mat_vec(A, tuple(rng.randint(0, 2) for _ in range(A.cols)))
+    else:
+        b = tuple(rng.randint(-3, 3) for _ in range(A.rows))
+    weights = ObjectiveWeights.make(
+        [tuple(rng.randint(-2, 2) for _ in range(A.cols))
+         for _ in range(rng.randint(1, 3))])
+    return A, b, weights
+
+
+def test_solve_convex_on_plain_matrices_matches_bruteforce():
+    rng = random.Random(1021)
+    seen = {OPTIMAL_OUTCOME: 0, INFEASIBLE_OUTCOME: 0, UNBOUNDED_POLYHEDRON: 0}
+    for i in range(120):
+        bounded = i % 3 != 2
+        A, b, weights = _plain_instance(rng, bounded)
+        if bounded:  # the positive row bounds every x_j
+            box = tuple(max(b[-1] // a, 0) for a in A.data[-1])
+        else:
+            box = (4,) * A.cols
+        pts = enumerate_feasible(A, b, EnumBudget(bounds=box))
+        # nonnegative kernel rays that W sees, in a box of 16^4 points
+        rays = [g for g in enumerate_feasible(
+                    A, (0,) * A.rows, EnumBudget(bounds=(15,) * A.cols))
+                if any(weights.project(g))]
+        maxlin = MaxLinearObjective(tuple(
+            tuple(rng.randint(-2, 2) for _ in range(weights.d))
+            for _ in range(rng.randint(1, 3))))
+        for objective in (SquaredNormObjective(), maxlin):
+            out = solve_convex(A, b, weights, objective)
+            seen[out.status] += 1
+            if out.status == INFEASIBLE_OUTCOME:
+                assert not pts
+                continue
+            # a feasible system is unbounded exactly when W sees a ray
+            assert (out.status == UNBOUNDED_POLYHEDRON) == bool(rays)
+            if rays:
+                assert not bounded
+                continue
+            assert mat_vec(A, out.x) == b and min(out.x) >= 0
+            assert weights.project(out.x) == out.z
+            _bx, bz = brute_convex_max(pts, weights, objective)
+            # no point of the box beats the optimum; when bounded, the
+            # box holds every point, so the optimum is attained in it
+            assert objective.compare_leq(bz, out.z)
+            assert not bounded or objective.compare_leq(out.z, bz)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_plain_path_builds_the_basis_only_after_a_lattice_point(
+        monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("built a basis for a lattice-infeasible system")
+
+    monkeypatch.setattr(ipsolve, "graver_basis", build)
+    # 2x + 4y = 3 has no integer solution
+    out = solve_convex(IntMat(1, 2, ((2, 4),)), (3,), W_AXES,
+                       SquaredNormObjective())
+    assert out.status == INFEASIBLE_OUTCOME
+
+
+def test_the_nfold_wrapper_adds_nothing():
+    # up to n = 6 nfold_graver completes the n-fold matrix itself, so the
+    # plain path with no basis solves the same system with the same basis
+    for n, d in ((2, 1), (3, 2), (4, 2), (5, 3), (6, 2)):
+        stencil, rhs, weights, maxlin = seeded_transport(n, d, 5000 + n)
+        A = nfold_matrix(stencil, n)
+        for objective in (SquaredNormObjective(), maxlin):
+            out = solve_convex_nfold(stencil, n, weights, rhs, objective)
+            assert out == solve_convex(A, rhs.concat(), weights, objective)
+            assert out == solve_convex(A, rhs.concat(), weights, objective,
+                                       basis=nfold_graver(stencil, n))
+
+
+def test_a_given_basis_is_the_one_built():
+    rng = random.Random(1023)
+    for i in range(30):
+        A, b, weights = _plain_instance(rng, bounded=i % 2 == 0)
+        for objective in (SquaredNormObjective(), LinearObjective(
+                (1,) * weights.d)):
+            assert solve_convex(A, b, weights, objective) == solve_convex(
+                A, b, weights, objective, basis=graver_basis(A))
 
 
 def test_weights_validation():

@@ -301,7 +301,7 @@ def test_batched_kernel_trips_one_row_while_the_others_step(monkeypatch):
 def _per_vertex(stencil, n, weights, rhs, objective):
     """solve_convex_nfold with one augment_to_optimum call per vertex."""
     basis = nfold_graver(stencil, n)
-    x0 = find_feasible(stencil, n, rhs, basis=basis).x
+    x0 = find_feasible(basis.source, rhs.concat(), basis)[0].x
     return convexopt.convex_maximize(
         lambda w: augment_to_optimum(x0, basis, w), weights, basis, objective)
 
@@ -677,8 +677,8 @@ def test_find_feasible_matches_enumeration():
             layers = [tuple(rng.randint(0, 4) for _ in range(st.s))
                       for _ in range(n)]
         rhs = NFoldRhs.make(b0, layers)
-        out = find_feasible(st, n, rhs)
         A = nfold_matrix(st, n)
+        out, _ = find_feasible(A, rhs.concat(), nfold_graver(st, n))
         # the all-ones A2 row bounds each layer variable by its layer sum
         bounds = tuple(layer[0] for layer in rhs.layer_rhs
                        for _ in range(st.t))
@@ -716,6 +716,28 @@ def test_solve_nfold_ip_matches_enumeration():
                                             bounds=bounds))
         assert out.status == OPTIMAL
         assert out.value == max(dot(w, p) for p in pts)
+
+
+def test_the_nfold_wrapper_adds_nothing():
+    # for n <= 6 nfold_graver completes the n-fold matrix itself, so
+    # solve_ip with no basis solves the same system with the same basis
+    rng = random.Random(19)
+    statuses = set()
+    for _ in range(40):
+        st = _random_bounded_stencil(rng)
+        n = rng.randint(1, 3)
+        A = nfold_matrix(st, n)
+        if rng.random() < 0.6:  # the margins of a random point
+            b = mat_vec(A, tuple(rng.randint(0, 2) for _ in range(A.cols)))
+        else:
+            b = tuple(rng.randint(0, 4) for _ in range(A.rows))
+        rhs = NFoldRhs.make(b[:st.r], [b[k:k + st.s]
+                                       for k in range(st.r, A.rows, st.s)])
+        w = tuple(rng.randint(-3, 3) for _ in range(A.cols))
+        out = solve_nfold_ip(st, n, w, rhs)
+        statuses.add(out.status)
+        assert out == solve_ip(A, b, w)
+    assert statuses == {OPTIMAL, INFEASIBLE}
 
 
 def test_generic_solve_ip_path():

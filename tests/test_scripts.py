@@ -15,3 +15,5 @@ def test_applications_demo_runs():
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "transportation" in proc.stdout
+    assert "== plain matrix: x1+x2+x3 = 4, x1+2x2+x4 = 5, squared norm ==" \
+        in proc.stdout
