@@ -32,6 +32,9 @@ class ThreeWayCodec:
     def encode(self, table) -> tuple:
         """table[i][j][k] -> flat layer-major vector."""
         p, q, n = self.p, self.q, self.n
+        if len(table) != p or any(len(plane) != q or any(
+                len(line) != n for line in plane) for plane in table):
+            raise DimensionMismatchError(f"table is not {p} x {q} x {n}")
         return tuple(table[i][j][k]
                      for k in range(n) for i in range(p) for j in range(q))
 
@@ -136,12 +139,13 @@ class MultiwayCodec:
         return out
 
     def encode(self, table: dict) -> tuple:
-        t = self.t
-        x = [0] * (self.n * t)
-        for k in range(self.n):
-            for cell in self.cells():
-                x[k * t + self.cell_index(cell)] = table[cell + (k,)]
-        return tuple(x)
+        """{(i_1..i_{k-1}, layer): value}, every cell once -> flat vector."""
+        keys = [cell + (k,) for k in range(self.n) for cell in self.cells()]
+        if table.keys() != set(keys):
+            shape = " x ".join(map(str, (*self.dims, self.n)))
+            raise DimensionMismatchError(
+                f"table keys are not the {shape} cells")
+        return tuple(map(table.__getitem__, keys))
 
 
 def _margin_rows(codec: MultiwayCodec, support) -> list:
@@ -275,6 +279,9 @@ class PackingCodec:
         """d utility matrices over the real types, zero on slack."""
         rows = []
         for a in arrays:
+            if len(a) != self.t - 1 or any(len(r) != self.n for r in a):
+                raise DimensionMismatchError(
+                    f"utility matrix is not {self.t - 1} x {self.n}")
             row = []
             for k in range(self.n):
                 row.extend(a[j][k] for j in range(self.t - 1))

@@ -7,7 +7,8 @@ loader, and COMMANDS maps each command to its output schema and the
 instance schemas it accepts.  Machine-readable output goes to stdout (or
 --output, written atomically); a short human summary goes to stderr.
 Exit codes: 0 optimal/success, 1 verify mismatch, 2 infeasible,
-3 unbounded, 4 guard/resource limit, 5 usage error, 6 internal error.
+3 unbounded, 4 guard/resource limit, 5 usage error, 6 internal error
+(any other exception).
 """
 
 from __future__ import annotations
@@ -545,13 +546,15 @@ def dispatch(argv) -> int:
     except InfeasibleInstanceError as exc:
         _summary(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
-    except (InternalInconsistencyError, AssertionError, KeyError,
-            TypeError) as exc:
+    except InternalInconsistencyError as exc:  # before its base class
         _summary(f"internal error: {exc!r}")
         return EXIT_INTERNAL
     except (GravoptError, ValueError) as exc:
         _summary(f"error: {exc}")
         return EXIT_USAGE
+    except Exception as exc:  # a crash is no verify mismatch (exit 1)
+        _summary(f"internal error: {exc!r}")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

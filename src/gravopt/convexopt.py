@@ -1,34 +1,34 @@
 """Convex integer maximization via linear-IP oracle calls.
 
 The driver projects the edge-direction set onto the objective space,
-enumerates the vertices of the resulting zonotope, lifts each vertex
-certificate back to a linear objective, and asks the linear oracle once
-per vertex.  A convex comparison picks the winner among the projected
-optima; the per-query identity cert.z == lifted.x is asserted on every
-call.
+enumerates the vertices of the resulting zonotope, and asks the linear
+oracle once per vertex, for the lifted objective h = c^T W of the vertex
+certificate c.  A convex comparison picks the winner among the projected
+optima.  Every reply is checked: c.z, with z = W.x read from the point x
+it returns, must equal the value h.x it reports.
 
-Both maps through W run in int64 when their guards hold, and on Python
-ints (numpy dtype object) otherwise, by the same code.  A Graver basis is
-projected once per solve into the table P = G.W^T (`GraverBasis.project`),
-one `np.add.reduceat` over the basis's int64 view
-(`GraverBasis.int64_view`) when max|W| * max|g|_1 < 2^62 and over its
-exact view otherwise; a plain list of directions is projected exactly.
-The zonotope generators D are the distinct nonzero rows of P.  The lift
-h = c^T W of a vertex certificate c is one product, in int64 when
-|c|_1 * max|W| < 2^62.  All these bounds cap every partial sum, so no
-int64 value overflows.
+A Graver basis is projected once per solve into the table P = G.W^T
+(`GraverBasis.project`): one `np.add.reduceat` over the basis's int64
+view (`GraverBasis.int64_view`) when max|W| * max|g|_1 < 2^62, which
+caps every partial sum, and over its exact view otherwise; a plain list
+of directions is projected exactly.  The zonotope generators D are the
+distinct nonzero rows of P.
 
 `solve_convex(A, b, W, c)` runs the pipeline on any A, with one Graver
 basis for phase I, for the directions and for the oracle: graver_basis(A)
 unless the caller passes one, as `solve_convex_nfold` passes the n-fold
-basis.  It asks its vertex queries in chunks: since h.g = c.(W.g), the
-scores of a chunk of certificates C are the rows of C.P^T, computed in
-int64 when |c|_1 * max|P| < 2^62 for every c in it and on Python ints
-otherwise, and `ipsolve.augment_batch` steps them all at once.  A chunk
-holds max(8, CHUNK_ENTRIES // |G|) queries, so its score array stays
-near CHUNK_ENTRIES entries.  The replies are compared in vertex order by
-the same loop as `convex_maximize`'s, so a chunk's replies after an
-unbounded one are computed but never counted.
+basis.  It asks its vertex queries in chunks and never forms h: for a
+chunk of certificates C the scores h.g = c.(W.g) are the rows of C.P^T,
+computed in int64 when |c|_1 * max|P| < 2^62 for every c in it and on
+Python ints otherwise, and the start values are h.x0 = c.z0, z0 = W.x0
+projected once per solve.  `ipsolve.augment_batch` steps them all at
+once and reports each value as its start value plus the gains of its
+steps, so the check tests the kernel that answered.  A chunk holds
+max(8, CHUNK_ENTRIES // |G|) queries, so its score array stays near
+CHUNK_ENTRIES entries.  The replies are compared in vertex order by the
+loop of `convex_maximize`, which lifts h exactly (`lift_normal`) for its
+caller's oracle; a chunk's replies after an unbounded one are computed
+but never counted.
 """
 
 from __future__ import annotations
@@ -81,18 +81,6 @@ class ObjectiveWeights:
 
     def project(self, x: Sequence[int]) -> tuple:
         return tuple(dot(w, x) for w in self.rows)
-
-    @functools.cached_property
-    def max_abs(self) -> int:
-        return max((abs(a) for row in self.rows for a in row), default=0)
-
-    @functools.cached_property
-    def int64_rows(self) -> Optional[np.ndarray]:
-        """W as a d x n int64 array; None when an entry reaches
-        INT64_BOUND."""
-        if self.max_abs >= INT64_BOUND:
-            return None
-        return np.array(self.rows, dtype=np.int64)
 
 
 class ConvexObjective:
@@ -188,17 +176,11 @@ def project_directions(directions: GraverBasis | np.ndarray
 
 
 def lift_normal(g: Sequence[int], weights: ObjectiveWeights) -> tuple:
-    """The linear form h with h.x == g.(w_1 x, .., w_d x) for every x,
-    computed in int64 when |g|_1 * max|W| < INT64_BOUND and on Python
-    ints otherwise."""
+    """The linear form h with h.x == g.(w_1 x, .., w_d x) for every x, on
+    Python ints."""
     if len(g) != weights.d:
         raise DimensionMismatchError("certificate length != objective count")
-    W = weights.int64_rows
-    # max(.., 1): the entries of g must fit in int64 even when W = 0
-    if (W is None
-            or sum(map(abs, g)) * max(weights.max_abs, 1) >= INT64_BOUND):
-        W = np.array(weights.rows, dtype=object)
-    return tuple((np.array(g, dtype=W.dtype) @ W).tolist())
+    return tuple(map(functools.partial(dot, g), zip(*weights.rows)))
 
 
 def convex_maximize(lip: Callable, weights: ObjectiveWeights,
@@ -208,7 +190,8 @@ def convex_maximize(lip: Callable, weights: ObjectiveWeights,
     """Reduce the convex program to one linear oracle call per zonotope
     vertex.
 
-    `lip` maps a linear objective vector to a SolveOutcome.  `directions`
+    `lip` maps a linear objective vector h to a SolveOutcome whose value
+    is h.x, which the identity check reads.  `directions`
     must cover all edge-directions of the feasible hull (the n-fold entry
     point supplies a Graver basis).  The vertices are queried one at a
     time, in enumeration order, and each reply is checked and compared
@@ -218,8 +201,7 @@ def convex_maximize(lip: Callable, weights: ObjectiveWeights,
     """
     def replies(verts):
         for vert in verts:
-            h = lift_normal(vert.certificate, weights)
-            yield h, lip(h)
+            yield lip(lift_normal(vert.certificate, weights))
 
     return _search(lip, weights, directions, objective, config, replies)
 
@@ -228,9 +210,9 @@ def _search(lip: Callable, weights: ObjectiveWeights, directions,
             objective: ConvexObjective, config: RunConfig,
             replies: Callable) -> ConvexOutcome:
     """The probe, the zonotope and the comparison loop of
-    `convex_maximize`; replies(verts) yields (h, lip(h)) for each vertex
-    in order, h the lifted certificate, and is read only as far as the
-    loop gets."""
+    `convex_maximize`; replies(verts) yields the oracle's reply to each
+    vertex's lifted certificate h, in order, and is read only as far as
+    the loop gets."""
     stats = SearchStats()
     probe_status = lip((0,) * weights.n).status
     stats.oracle_queries += 1
@@ -241,7 +223,7 @@ def _search(lip: Callable, weights: ObjectiveWeights, directions,
     stats.vertices = len(verts)
 
     best = None  # (z, x)
-    for vert, (h, reply) in zip(verts, replies(verts)):
+    for vert, reply in zip(verts, replies(verts)):
         stats.oracle_queries += 1
         if reply.status == UNBOUNDED:
             return ConvexOutcome(UNBOUNDED_POLYHEDRON, stats=stats)
@@ -250,9 +232,9 @@ def _search(lip: Callable, weights: ObjectiveWeights, directions,
                 "oracle reported infeasible after a feasible probe")
         x = reply.x
         z = weights.project(x)
-        if dot(vert.certificate, z) != dot(h, x):
+        if dot(vert.certificate, z) != reply.value:
             raise InternalInconsistencyError(
-                "projection identity cert.z != lifted.x failed")
+                "projection identity cert.z != reply value failed")
         stats.identity_checks += 1
         if best is None:
             best = (z, x)
@@ -269,19 +251,19 @@ def _search(lip: Callable, weights: ObjectiveWeights, directions,
 
 def _batched_replies(x0: tuple, basis: GraverBasis,
                      weights: ObjectiveWeights, P: np.ndarray, verts: list):
-    """(h, augment_to_optimum(x0, basis, h)) for each vertex, h its lifted
-    certificate, computed a chunk at a time (module docstring)."""
+    """augment_to_optimum(x0, basis, h) for each vertex, h its lifted
+    certificate, a chunk at a time, without forming h (module docstring)."""
+    z0 = weights.project(x0)
     top = max(int(np.abs(P).max(initial=0)), 1)
     rows = max(8, CHUNK_ENTRIES // max(len(P), 1))
     for start in range(0, len(verts), rows):
         certs = [v.certificate for v in verts[start:start + rows]]
-        hs = [lift_normal(c, weights) for c in certs]
         if max(sum(map(abs, c)) for c in certs) * top < INT64_BOUND:
             dtype = np.int64
         else:
             dtype = object
         wg = np.array(certs, dtype=dtype) @ P.astype(dtype, copy=False).T
-        yield from zip(hs, augment_batch(x0, basis, wg, hs))
+        yield from augment_batch(x0, basis, wg, [dot(c, z0) for c in certs])
 
 
 def solve_convex(A: IntMat, b: Sequence[int], weights: ObjectiveWeights,

@@ -17,7 +17,7 @@ class ResourceLimitError(GravoptError, RuntimeError):
 
 class InternalInconsistencyError(GravoptError, RuntimeError):
     """An invariant that should hold by construction failed, e.g. an
-    oracle reply breaking the projection identity cert.z == lifted.x."""
+    oracle reply whose value is not cert.z, z = W.x read from its point."""
 
 
 class InfeasibleInstanceError(GravoptError, ValueError):

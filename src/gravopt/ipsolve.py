@@ -40,13 +40,15 @@ back to the exact view from x0.
 
 Phase II runs one batched kernel: `augment_to_optimum` gives it one
 objective, and `augment_batch` gives it many that share the start x0, as
-the convex driver's vertex queries do.  The kernel takes a Q x |G| array
-of the values w_q.g and steps all Q rows in lockstep, each by the greedy
-rules above: the first nonnegative element with w.g > 0 (canonical
-order) certifies unboundedness, `argmax` takes a row's first largest
-score lam*max(w.g, 0) (the canonical-order tie-break), and
-lam = score // w.g.  A move is applied through the CSR supports; only
-the (row, element) pairs whose element has a negative entry at a moved
+the convex driver's vertex queries do.  The kernel reads no objective,
+only a Q x |G| array of the values w_q.g and the Q start values w_q.x0,
+and steps all Q rows in lockstep, each by the greedy rules above: the
+first nonnegative element with w.g > 0 (canonical order) certifies
+unboundedness, `argmax` takes a row's first largest score
+lam*max(w.g, 0) (the canonical-order tie-break), and lam = score // w.g.
+A row's value is its start value plus the scores of its steps, summed
+on Python ints.  A move is applied through the CSR supports; only the
+(row, element) pairs whose element has a negative entry at a moved
 coordinate and w.g > 0 are re-scored, by flat gathers over the
 negative-entry table.  On the int64 view every product stays below
 2^62.  The values w.g are exact: `GraverBasis.project` computes them for
@@ -121,29 +123,29 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
     if len(w) != len(x0):
         raise DimensionMismatchError("objective length != point length")
     _check_point(x0, basis)
-    return augment_batch(x0, basis, basis.project((w,)).T, (w,))[0]
+    return augment_batch(x0, basis, basis.project((w,)).T, (dot(w, x0),))[0]
 
 
 def augment_batch(x0: Sequence[int], basis: GraverBasis, wg: np.ndarray,
-                  objectives: Sequence[Sequence[int]]) -> list:
-    """`augment_to_optimum(x0, basis, w)` for every w in `objectives`.
+                  values: Sequence[int]) -> list:
+    """`augment_to_optimum(x0, basis, w_q)` for every row q of wg.
 
-    Row q of wg holds objectives[q].g for every basis element g, in
-    canonical order; the caller computes it exactly, in int64 or on
-    Python ints (dtype object).  An int64 wg steps on the int64 view, and
-    the whole call is re-run on the exact view when the guard trips
-    (module docstring).
+    Row q of wg holds w_q.g for every basis element g, in canonical
+    order, and values[q] = w_q.x0; the caller computes both exactly, wg
+    in int64 or on Python ints (dtype object).  An int64 wg steps on the
+    int64 view, and the whole call is re-run on the exact view when the
+    guard trips (module docstring).
     """
     _check_point(x0, basis)
     if not len(basis):
-        return [SolveOutcome.optimal(x0, dot(w, x0)) for w in objectives]
+        return [SolveOutcome.optimal(x0, v) for v in values]
     view = basis.int64_view
     outs = None
     if wg.dtype != object and view is not None and min(x0) >= 0:
-        outs = _augment_rows(x0, basis, view, wg, objectives)
+        outs = _augment_rows(x0, basis, view, wg, values)
     if outs is None:
         outs = _augment_rows(x0, basis, basis.exact_view,
-                             wg.astype(object, copy=False), objectives)
+                             wg.astype(object, copy=False), values)
     return outs
 
 
@@ -176,8 +178,7 @@ def _gains(x: np.ndarray, view: Int64View, wg: np.ndarray,
 
 
 def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
-                  wg: np.ndarray,
-                  objectives: Sequence[Sequence[int]]) -> Optional[list]:
+                  wg: np.ndarray, values: Sequence[int]) -> Optional[list]:
     """The batched phase-II kernel (module docstring) on the view, whose
     value dtype wg shares: entry q is row q's outcome.  On the int64 view
     x0 is nonnegative, and the call returns None when the guard trips."""
@@ -194,13 +195,14 @@ def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
             outs[q] = SolveOutcome.unbounded(
                 basis[int(view.nonneg[ray[q].argmax()])])
         elif top <= 0:
-            outs[q] = SolveOutcome.optimal(x0, dot(objectives[q], x0))
+            outs[q] = SolveOutcome.optimal(x0, values[q])
         else:
             live.append(q)
     if not live:
         return outs
     ids = np.array(live)
     wg = wg[ids]
+    value = np.array(values, dtype=object)[ids]
     x = np.tile(np.array(x0, dtype=wg.dtype), (len(ids), 1))
     low = min(x0)
     n, size = basis.n, wg.shape[1]
@@ -212,15 +214,15 @@ def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
         best = scores.argmax(axis=1)  # the first maximum: canonical order
         gain = scores[np.arange(len(ids)), best]
         done = gain <= 0
-        for q, row in zip(ids[done], x[done]):
-            xq = tuple(row.tolist())
-            outs[q] = SolveOutcome.optimal(xq, dot(objectives[q], xq))
+        for q, row, v in zip(ids[done], x[done], value[done]):
+            outs[q] = SolveOutcome.optimal(row.tolist(), v)
         if done.all():
             return outs
         if done.any():
             keep = ~done
-            ids, wg, hot, x, scores, best, gain = (
-                a[keep] for a in (ids, wg, hot, x, scores, best, gain))
+            ids, wg, hot, x, scores, best, gain, value = (
+                a[keep] for a in (ids, wg, hot, x, scores, best, gain, value))
+        value += gain.astype(object)
         rows = np.arange(len(ids))
         lam = gain // wg[rows, best]
         lo = view.starts[best]

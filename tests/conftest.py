@@ -161,11 +161,23 @@ def _best_steps(x: list, supports, reads, score):
 
 def augment_exact(x0, basis: GraverBasis, w) -> SolveOutcome:
     """Phase II on Python ints, one element at a time: the oracle for
-    `ipsolve.augment_to_optimum` and `ipsolve.augment_batch`."""
+    `ipsolve.augment_to_optimum` and `ipsolve.augment_batch`.  The value
+    of an optimal outcome is w.x, computed from the point."""
+    scores = [sum(w[j] * a for j, a in supp) for supp in basis_supports(basis)]
+    out = augment_scores_exact(x0, basis, scores, dot(w, x0))
+    return SolveOutcome.optimal(out.x, dot(w, out.x)) if out.is_optimal \
+        else out
+
+
+def augment_scores_exact(x0, basis: GraverBasis, scores,
+                         value) -> SolveOutcome:
+    """`augment_exact` from what `ipsolve.augment_batch` is given of an
+    objective w: the values w.g of the basis elements in canonical order
+    and the start value w.x0.  The value of an optimal outcome is the
+    start value plus the gain of every step."""
     x = list(x0)
     supps, wgs, negs = [], [], []
-    for g, supp in zip(basis.elements, basis_supports(basis)):
-        wg = sum(w[j] * a for j, a in supp)
+    for g, supp, wg in zip(basis.elements, basis_supports(basis), scores):
         if wg <= 0:
             continue
         neg = [(j, -a) for j, a in supp if a < 0]
@@ -193,7 +205,8 @@ def augment_exact(x0, basis: GraverBasis, w) -> SolveOutcome:
         if min(x) < 0:
             raise InternalInconsistencyError(
                 "augmentation left the nonnegative orthant")
-    return SolveOutcome.optimal(tuple(x), dot(w, x))
+        value += gain
+    return SolveOutcome.optimal(tuple(x), value)
 
 
 def best_negpart_step(x, supp):

@@ -395,6 +395,47 @@ def test_internal_fault_has_its_own_exit_code(files, monkeypatch, capsys):
         assert "internal error" in capsys.readouterr().err
 
 
+def test_an_unexpected_exception_is_an_internal_error(files, monkeypatch,
+                                                    capsys):
+    # exit 1 would read as a verify mismatch
+    def crash(*args, **kwargs):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(cli, "solve_convex_nfold", crash)
+    inst = files("t.json", json.dumps(TRANSPORT_INSTANCE))
+    assert dispatch(["verify", inst]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal error: RuntimeError('crash')\n")
+
+
+def _with_first_line(value, edit):
+    """A copy of a nested list with its first innermost list edited."""
+    if isinstance(value[0], list):
+        return [_with_first_line(value[0], edit)] + value[1:]
+    return edit(value)
+
+
+def test_weight_tables_of_the_wrong_shape_are_usage_errors(files, capsys):
+    # a short table would escape as an IndexError, a long one be cut to
+    # fit and an extra key be ignored
+    short, long = (lambda line: line[:-1]), (lambda line: line + [0])
+    multiway = _as_multiway(TRANSPORT_INSTANCE)
+    extra = [multiway["weights"][0] + [[[0, 0, 2], 1]]] \
+        + multiway["weights"][1:]
+    cases = [("transport", dict(TRANSPORT_INSTANCE, weights=_with_first_line(
+                 TRANSPORT_INSTANCE["weights"], edit)))
+             for edit in (short, long)]
+    cases += [("pack", dict(PACK_INSTANCE, utilities=_with_first_line(
+                  PACK_INSTANCE["utilities"], edit)))
+              for edit in (short, long)]
+    cases.append(("transport", dict(multiway, weights=extra)))
+    for command, doc in cases:
+        inst = files("bad.json", json.dumps(doc))
+        for cmd in (command, "verify"):
+            assert dispatch([cmd, inst]) == EXIT_USAGE, (cmd, doc)
+            assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_env_overrides_and_flag_precedence(files, monkeypatch, capsys):
     gens = files("g.mat", "1 2\n1 1\n")
     monkeypatch.setenv("GRAVOPT_DIM_CAP", "1")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (enumerate_nfold, hull_edges_2d, random_matrix,
                       seeded_transport)
-from gravopt import ipsolve
+from gravopt import convexopt, ipsolve
 from gravopt.apps import PartitionInstance, build_partition, build_threeway
 from gravopt.bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
 from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
@@ -19,6 +19,7 @@ from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
                                SquaredNormObjective, convex_maximize,
                                lift_normal, project_directions,
                                solve_convex, solve_convex_nfold)
+from gravopt.errors import InternalInconsistencyError
 from gravopt.graver import INT64_BOUND, graver_basis
 from gravopt.intlinalg import IntMat, dot, mat_vec, rank
 from gravopt.ipsolve import UNBOUNDED, SolveOutcome, solve_ip
@@ -106,6 +107,33 @@ def test_vertex_queries_hold_one_reply_at_a_time():
     assert lip.calls == out.stats.oracle_queries == 7
     assert out.stats.vertices == 6
     assert lip.most_alive <= 1
+
+
+def test_the_identity_check_reads_the_value_a_user_oracle_reports():
+    lip = _segment_lip(4)
+
+    def off_by_one(w):
+        reply = lip(w)
+        if not reply.is_optimal:
+            return reply
+        return SolveOutcome.optimal(reply.x, reply.value + 1)
+
+    with pytest.raises(InternalInconsistencyError):
+        convex_maximize(off_by_one, W_AXES, HEXAGON, SquaredNormObjective())
+
+
+def test_the_identity_check_tests_the_batched_oracle(monkeypatch):
+    # one more on every positive score: each step's gain overstates
+    # lam*(w.g) by lam, so the value the kernel reports misses c.(W.x)
+    batch = convexopt.augment_batch
+
+    def skewed(x0, basis, wg, values):
+        return batch(x0, basis, wg + (wg > 0), values)
+
+    monkeypatch.setattr(convexopt, "augment_batch", skewed)
+    stencil, rhs, weights, _maxlin = seeded_transport(16, 2, 4018)
+    with pytest.raises(InternalInconsistencyError):
+        solve_convex_nfold(stencil, 16, weights, rhs, SquaredNormObjective())
 
 
 def test_no_query_follows_an_unbounded_reply():
@@ -366,15 +394,7 @@ def _exact_lift(c, weights):
                  for j in range(weights.n))
 
 
-def _zeroed_int64_copy(weights):
-    """The same weights with their int64 copy of W set to zeros, so any
-    answer read from the int64 path gives itself away."""
-    w = ObjectiveWeights(weights.rows)
-    w.__dict__["int64_rows"] = np.zeros((w.d, w.n), dtype=np.int64)
-    return w
-
-
-def test_projection_and_lift_run_in_int64_on_transport():
+def test_projection_runs_in_int64_and_the_lift_is_exact_on_transport():
     stencil, _rhs, weights, _maxlin = seeded_transport(8, 3, 4011)
     basis = nfold_graver(stencil, 8)
     D = project_directions(basis, weights)
@@ -382,11 +402,9 @@ def test_projection_and_lift_run_in_int64_on_transport():
     assert D == project_directions(list(basis.elements), weights)
     assert D == _exact_projection(basis.elements, weights)
     assert basis.project(weights.rows).dtype == np.int64
-    zeroed = _zeroed_int64_copy(weights)
     for vert in zonotope_vertices(D, dim=3):
         c = vert.certificate
         assert lift_normal(c, weights) == _exact_lift(c, weights)
-        assert lift_normal(c, zeroed) == (0,) * weights.n
 
 
 def test_projection_guard_sends_large_weights_to_the_exact_path():
@@ -408,18 +426,12 @@ def test_projection_guard_sends_large_weights_to_the_exact_path():
     assert project_directions(basis, big) == D
 
 
-def test_lift_guard_sends_huge_certificates_to_the_exact_path():
+def test_the_lift_is_exact_on_huge_certificates():
     unit = ObjectiveWeights.make([(1, 0, -1), (0, 1, 1)])
-    zeroed = _zeroed_int64_copy(unit)
-    for c, int64 in (((INT64_BOUND - 2, -1), True),
-                     ((INT64_BOUND - 1, -1), False),
-                     ((2 ** 70, -3), False)):
-        h = _exact_lift(c, unit)
-        assert lift_normal(c, unit) == h
-        assert lift_normal(c, zeroed) == ((0, 0, 0) if int64 else h)
+    for c in ((INT64_BOUND - 2, -1), (INT64_BOUND - 1, -1), (2 ** 70, -3)):
+        assert lift_normal(c, unit) == _exact_lift(c, unit)
     weights = ObjectiveWeights.make([(1, 2, 3), (4, -5, 6)])
     c = (2 ** 62, 1)
-    assert lift_normal(c, _zeroed_int64_copy(weights)) == \
-        _exact_lift(c, weights)
+    assert lift_normal(c, weights) == _exact_lift(c, weights)
     assert lift_normal((2 ** 70, 5), ObjectiveWeights.make(
         [(0, 0), (0, 0)])) == (0, 0)

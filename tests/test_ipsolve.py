@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (TRANSPORT_2x2, augment_exact, drive_exact,
-                      random_matrix, seeded_transport)
+from conftest import (TRANSPORT_2x2, augment_exact, augment_scores_exact,
+                      drive_exact, random_matrix, seeded_transport)
 from gravopt import cli, convexopt, graver, ipsolve, nfold
 from gravopt.apps import build_threeway
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
@@ -53,7 +53,7 @@ def test_augmentation_rejects_a_point_of_the_wrong_length(monkeypatch):
         with pytest.raises(DimensionMismatchError,
                            match=f"point of length {len(x0)}, basis has 2"):
             ipsolve.augment_batch(x0, basis, np.ones((1, 2), dtype=np.int64),
-                                  [(1, 1)])
+                                  [0])
 
 
 def test_augmentation_on_line_segment():
@@ -213,13 +213,14 @@ def test_int64_and_exact_paths_agree():
 
 def test_int64_and_exact_paths_agree_on_every_vertex_query(monkeypatch):
     calls = []
-    batch, exact = convexopt.augment_batch, augment_exact
+    batch = convexopt.augment_batch
 
-    def both(x0, basis, wg, objectives):
-        replies = batch(x0, basis, wg, objectives)
-        for w, reply in zip(objectives, replies):
-            calls.append(w)
-            assert reply == exact(x0, basis, w), (x0, w)
+    def both(x0, basis, wg, values):
+        replies = batch(x0, basis, wg, values)
+        for row, value, reply in zip(wg.tolist(), values, replies):
+            calls.append(value)
+            assert reply == augment_scores_exact(x0, basis, row, value), \
+                (x0, row, value)
         return replies
 
     monkeypatch.setattr(convexopt, "augment_batch", both)
@@ -258,11 +259,11 @@ def test_batched_kernel_matches_the_exact_loop_row_by_row():
         objectives = [tuple(rng.randint(-3, 3) for _ in range(basis.n))
                       for _ in range(rng.randint(1, 6))]
         objectives.append((0,) * basis.n)
-        wg = _wg(basis, objectives)
-        outs = ipsolve._augment_rows(x0, basis, view, wg, objectives)
-        assert outs == ipsolve.augment_batch(x0, basis, wg, objectives)
+        wg, values = _wg(basis, objectives), [dot(w, x0) for w in objectives]
+        outs = ipsolve._augment_rows(x0, basis, view, wg, values)
+        assert outs == ipsolve.augment_batch(x0, basis, wg, values)
         assert outs == ipsolve._augment_rows(
-            x0, basis, basis.exact_view, wg.astype(object), objectives)
+            x0, basis, basis.exact_view, wg.astype(object), values)
         for w, row, out in zip(objectives, wg, outs):
             assert out == augment_exact(x0, basis, w), (x0, w)
             if out.status == UNBOUNDED:
@@ -286,14 +287,14 @@ def test_batched_kernel_trips_one_row_while_the_others_step(monkeypatch):
     objectives = [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1),
                   (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 0),
                   (1, 0, 0, 0, 0, 1)]
-    wg = _wg(basis, objectives)
+    wg, values = _wg(basis, objectives), [dot(w, x0) for w in objectives]
     assert ipsolve._augment_rows(x0, basis, basis.int64_view, wg,
-                                 objectives) is None
+                                 values) is None
     exact = [augment_exact(x0, basis, w) for w in objectives]
     assert exact[0] == SolveOutcome.optimal((2 * k, 0, 3, 1, 4, 2), 2 * k)
     assert [out.x[2:].count(0) for out in exact[1:4]] == [2, 2, 0]
     kernels = _kernel_spy(monkeypatch, "_augment_rows")
-    assert ipsolve.augment_batch(x0, basis, wg, objectives) == exact
+    assert ipsolve.augment_batch(x0, basis, wg, values) == exact
     # the tripped call is re-run whole, all five rows, on the exact view
     assert kernels == [(False, None), (True, exact)]
 
@@ -349,9 +350,9 @@ def test_chunk_guard_batches_large_certificates_on_python_ints(
     chunks = []
     batch = convexopt.augment_batch
 
-    def spy(x0, basis, wg, objectives):
+    def spy(x0, basis, wg, values):
         chunks.append(wg.dtype)
-        return batch(x0, basis, wg, objectives)
+        return batch(x0, basis, wg, values)
 
     monkeypatch.setattr(convexopt, "augment_batch", spy)
     single = _spy(monkeypatch, convexopt, "augment_to_optimum")
@@ -409,8 +410,9 @@ def test_exact_view_kernels_match_the_oracles_past_every_guard():
             wg = np.array([[dot(w, g) for g in basis.elements]
                            for w in objectives], dtype=object)
             want = [augment_exact(x0, basis, w) for w in objectives]
-            assert ipsolve._augment_rows(x0, basis, basis.exact_view, wg,
-                                         objectives) == want
+            assert ipsolve._augment_rows(
+                x0, basis, basis.exact_view, wg,
+                [dot(w, x0) for w in objectives]) == want
             assert [augment_to_optimum(x0, basis, w)
                     for w in objectives] == want
             for out in want:
@@ -433,7 +435,7 @@ def test_exact_view_kernels_match_the_oracles_past_every_guard():
     want = augment_exact(x0, basis, w)
     assert want.x == (6, 0, 4, 0, 0)
     assert ipsolve._augment_rows(x0, basis, basis.exact_view, wg,
-                                 [w]) == [want]
+                                 [dot(w, x0)]) == [want]
 
 
 def _spy(monkeypatch, module, name):
