@@ -323,15 +323,25 @@ def _load_transport(doc: dict):
             lambda x: {"table": codec.decode(x)})
 
 
+def _keyed(pairs, what: str) -> dict:
+    """{tuple(key): value} of [key, value] pairs; a repeated key would
+    silently keep its last value, so it is a usage error."""
+    table: dict = {}
+    for key, val in pairs:
+        if tuple(key) in table:
+            raise UsageError(f"repeated {what} key {json.dumps(key)}")
+        table[tuple(key)] = val
+    return table
+
+
 def _load_multiway(doc: dict):
     # margin keys serialized as [index-or-null, ...] lists
     inst = MultiwayInstance.make(
         doc["dims"], doc["n"], [frozenset(f) for f in doc["family"]],
-        {tuple(key): val for key, val in doc["margins"]})
+        _keyed(doc["margins"], "margin"))
     stencil, rhs, codec = build_multiway(inst)
     weights = ObjectiveWeights.make(
-        [codec.encode({tuple(key): val for key, val in table})
-         for table in doc["weights"]])
+        [codec.encode(_keyed(table, "weight")) for table in doc["weights"]])
     return (stencil, inst.n, rhs, weights,
             lambda x: {"table": [[list(key), val] for key, val
                                  in sorted(codec.decode(x).items())]})

@@ -1,40 +1,49 @@
 """Vertex enumeration for integer zonotopes in fixed small dimension.
 
-A vertex of zone(D) is a signed sum of the generators, one sign pattern
-per full-dimensional cell of the central arrangement of the hyperplanes
-orthogonal to the generators, and distinct cells have distinct
-vertices.  The enumeration therefore walks cells, not the exponentially
-many sign vectors, and keys each cell by its vertex: parallel
-generators are merged into one aggregate per primitive direction and
-the problem is restricted to the integer span of the aggregates.
-There, every vertex lies on a facet, and the facet with outer normal
-s*r is the zonotope of the generators orthogonal to r, one dimension
-lower, translated by s times the off-facet sum of sgn(r.e)*e; the cells
-are found by recursing into the facets, down to the two half-lines of
-rank 1.  The facet normals are the signed maximal minors of the
-(k-1)-subsets of the generators, divided by their gcd; a subset of
-lower rank has all minors zero and gives no facet.  Each cell carries
-an exact integer witness direction, which doubles as the separation
-certificate: a facet witness c' lifts to lam*s*r + c', with
-lam > |c'.e| for every generator e, so the generators off the facet
-keep the facet's side.  All arithmetic is on integers.
+A vertex of zone(D) is a signed sum of the generators, one per
+full-dimensional cell of the central arrangement of the hyperplanes
+orthogonal to the generators.  Parallel generators are merged into one
+aggregate per primitive direction, and the cells, keyed by their vertex,
+are found in the integer span of the aggregates by recursing into the
+facets: the facet with outer normal s*r, r a (k-1)-subset's signed
+maximal minors over their gcd, is the zonotope of the generators
+orthogonal to r, translated by s times the off-facet sum of sgn(r.e)*e.
+A facet's exact integer witness c' lifts to the cell's certificate
+lam*s*r + c', with lam > |c'.e| for every generator e.
+
+The recursion runs level by level on arrays: a level holds every facet
+of the level above as a group of rows, and one scan, in chunks of
+SCAN_ENTRIES, takes the sides of every normal against its group and the
+off-facet sums.  Facets are pairwise non-parallel and of known rank: a
+rank-1 facet gives its two cells directly, a rank-2 facet is spanned by
+its first two generators, and only the top level and facets of rank 3
+or more find a basis by echelon.  A product runs in int64 when a bound
+on its values (||r||_1*max|e| for the sides, the sum of max|v| for the
+vertex sums) is below 2^62, and otherwise by the same code on Python
+ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import factorial, isqrt
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (DimensionMismatchError, InternalInconsistencyError,
                      ResourceLimitError)
-from .intlinalg import IntMat, _column_echelon, dot
+from .graver import INT64_BOUND
+from .intlinalg import IntMat, _column_echelon
 
 # never called: bound only because perfbench/spans.py wraps this name; it
 # goes when a benchmark change drops the `ratlp.probe` row (ROADMAP item 1)
 find_interior_direction = None
+
+# about this many (normal, generator) pairs per chunk of a facet scan
+SCAN_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,113 +56,141 @@ class ZonotopeVertex:
     certificate: tuple
 
 
-def _primitive(e: Sequence[int]):
-    """Canonical primitive direction p (first nonzero entry positive) and
-    the integer alpha with e = alpha * p.  Returns (None, 0) for zero."""
-    g = 0
-    for a in e:
-        g = gcd(g, abs(a))
-    if g == 0:
-        return None, 0
-    p = tuple(a // g for a in e)
-    if next(a for a in p if a) < 0:
-        return tuple(-a for a in p), -g
-    return p, g
-
-
 def _independent_subset(vectors: list) -> list:
-    """Greedy maximal linearly independent subset, in input order: the
-    pivot rows of the column echelon form."""
-    A = IntMat(len(vectors), len(vectors[0]), tuple(vectors))
-    return [vectors[r] for r, _ in _column_echelon(A)[2]]
+    """Indices of the greedy maximal linearly independent subset, in
+    input order: the pivot rows of the column echelon form."""
+    A = IntMat(len(vectors), len(vectors[0]), tuple(map(tuple, vectors)))
+    return [r for r, _ in _column_echelon(A)[2]]
 
 
-def _minors_normal(rows: Sequence[Sequence[int]]) -> tuple:
-    """The signed maximal minors of k-1 vectors in Z^k: entry j is
-    (-1)^j times the determinant without column j.  The vector is
-    orthogonal to every row (it expands det([row; rows]) = 0), so it
-    spans their kernel when that has rank 1, and it is zero when the
-    kernel has rank 2 or more.  The minors are built by Laplace
-    expansion along the rows, bottom up: dets[S] is the determinant of
-    the last |S| rows restricted to the column set S."""
-    k = len(rows[0])
-    dets = {(): 1}
-    for size, row in enumerate(reversed(rows), 1):
-        expanded = {}
-        for S in combinations(range(k), size):
-            total, sign = 0, 1
-            for t, c in enumerate(S):
-                total += sign * row[c] * dets[S[:t] + S[t + 1:]]
-                sign = -sign
-            expanded[S] = total
-        dets = expanded
+def _minors_normal(rows) -> np.ndarray:
+    """Entry j is (-1)^j times the minor without column j of k-1 vectors
+    in Z^k (the last two axes of rows): it spans their kernel when that
+    has rank 1 and is zero otherwise.  Laplace expansion, bottom up."""
+    rows = np.asarray(rows)
+    k = rows.shape[-1]
+    sets, dets = {(c,): c for c in range(k)}, rows[..., k - 2, :]
+    for size in range(2, k):
+        row = rows[..., k - 1 - size, :]
+        grown = list(combinations(range(k), size))
+        terms = [row[..., [S[t] for S in grown]]
+                 * dets[..., [sets[S[:t] + S[t + 1:]] for S in grown]]
+                 for t in range(size)]
+        dets = sum(terms[0::2]) - sum(terms[1::2])
+        sets = {S: i for i, S in enumerate(grown)}
     # combinations() lists the (k-1)-sets by the omitted column, k-1 first
-    return tuple(-m if j & 1 else m
-                 for j, m in enumerate(reversed(dets.values())))
+    return dets[..., ::-1] * (-1) ** np.arange(k)
 
 
-def _sgn(a: int) -> int:
-    return (a > 0) - (a < 0)
+def _ints(bound: int, *arrays) -> list:
+    """The arrays as int64 when bound, a Python int above every value the
+    caller computes from them, is below 2^62; else as Python ints."""
+    dtype = np.int64 if bound < INT64_BOUND else object
+    return [a.astype(dtype, copy=False) for a in arrays]
 
 
-def _span_cells(gens: list, vecs: list) -> list:
-    """Cells of pairwise non-parallel nonzero generators, as (vertex,
-    witness) pairs; the vertex sums vecs[i] with the cell's sign on
-    gens[i].  Generators of a proper subspace are expressed against an
-    integer basis of their span, and the witnesses mapped back.
-    Spanning generators keep their coordinates, and witnesses are
-    divided by their gcd: both keep the witnesses, and so every later
-    oracle query, on small integers."""
-    basis = _independent_subset(gens)
-    dim = len(gens[0])
-    if len(basis) == dim:
-        cells = _cells(gens, vecs)
-    else:
-        reduced = [tuple(dot(b, e) for b in basis) for e in gens]
-        cells = [(v, tuple(sum(yi * b[j] for yi, b in zip(y, basis))
-                           for j in range(dim)))
-                 for v, y in _cells(reduced, vecs)]
-    out = []
-    for v, c in cells:
-        g = gcd(*c)
-        out.append((v, tuple(a // g for a in c)))
-    return out
+def _canonical(X) -> tuple:
+    """The nonzero rows of X divided by their gcd and signed to a positive
+    first nonzero entry, with the gcd of every row of X."""
+    g = np.gcd.reduce(X, axis=1, initial=0)
+    X = X[g != 0] // g[g != 0, None]
+    lead = X[np.arange(len(X)), (X != 0).argmax(axis=1)]
+    return np.where((lead < 0)[:, None], -X, X), g
 
 
-def _cells(reduced: list, vecs: list) -> list:
-    """Cells of pairwise non-parallel generators of rank k in Z^k, each
-    as its vertex (the sum of vecs[i] signed as the cell is on
-    reduced[i]) and a strict integer witness y, by recursion over the
-    facets of their zonotope."""
-    k = len(reduced[0])
-    if k == 1:
-        if len(reduced) != 1:
+def _top(a) -> int:
+    return int(np.abs(a).max())
+
+
+def _first(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row."""
+    order = np.lexsort(keys.T)
+    rows = keys[order]
+    new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    return np.sort(order[new])
+
+
+def _pairs(a, b) -> np.ndarray:
+    """Row i of a, then row i of b, for every i."""
+    return np.stack((a, b), 1).reshape(-1, a.shape[1])
+
+
+def _span_cells(E, V, starts, basis) -> tuple:
+    """Cells of groups of pairwise non-parallel generators (group g: rows
+    starts[g]:starts[g+1] of E, spanned by its rows basis[g]) as arrays
+    (vertices, witnesses, group), by group and in cell order; a vertex
+    sums the rows of V with the cell's signs.  A proper subspace is taken
+    in Gram coordinates; witnesses are mapped back and divided by their
+    gcd, which keeps every oracle query small."""
+    rank = basis.shape[1]
+    if rank == 1:
+        if len(E) != len(starts) - 1:
             raise InternalInconsistencyError(
                 "non-parallel generators in a rank-1 span")
-        e, v = reduced[0], vecs[0]
-        return [(v, e), (tuple(-a for a in v), tuple(-a for a in e))]
-    normals: dict = {}
-    for subset in combinations(reduced, k - 1):
-        r = _primitive(_minors_normal(subset))[0]
-        if r is not None:
-            normals.setdefault(r, None)
-    bound = max(abs(a) for e in reduced for a in e)
-    dim = len(vecs[0])
-    cells: dict = {}
-    for r in normals:
-        sides = [_sgn(dot(r, e)) for e in reduced]
-        on = [i for i, side in enumerate(sides) if side == 0]
-        off = [sum(side * v[j] for side, v in zip(sides, vecs))
-               for j in range(dim)]
-        for facet_vertex, c in _span_cells([reduced[i] for i in on],
-                                           [vecs[i] for i in on]):
-            lam = 1 + sum(abs(a) for a in c) * bound
-            for s in (1, -1):
-                vertex = tuple(s * a + b for a, b in zip(off, facet_vertex))
-                if vertex not in cells:
-                    cells[vertex] = tuple(lam * s * a + b
-                                          for a, b in zip(r, c))
-    return list(cells.items())
+        c = E // np.gcd.reduce(E, axis=1, initial=0)[:, None]
+        return _pairs(V, -V), _pairs(c, -c), np.repeat(np.arange(len(E)), 2)
+    if rank == E.shape[1]:
+        verts, W, group = _cells(E, V, starts)
+    else:
+        own = np.repeat(np.arange(len(basis)), np.diff(starts))
+        top = _top(E)
+        Es, B = _ints(E.shape[1] * top * top, E, E[basis])
+        verts, Y, group = _cells((Es[:, None, :] * B[own]).sum(2), V, starts)
+        Y, B = _ints(rank * _top(Y) * top, Y, B)
+        W = (Y[:, :, None] * B[group]).sum(1)
+    return verts, W // np.gcd.reduce(W, axis=1)[:, None], group
+
+
+def _cells(E, V, starts) -> tuple:
+    """`_span_cells` of groups of rank k in Z^k, k >= 2: the normals of
+    each group's (k-1)-subsets, one chunked scan for their sides and
+    off-facet sums, the facets' cells one level down, and the lifted
+    candidates, of which the first per vertex and group is kept."""
+    k, sizes = E.shape[1], np.diff(starts)
+    subsets = np.array([s for lo, hi in zip(starts[:-1].tolist(),
+                                            starts[1:].tolist())
+                        for s in combinations(range(lo, hi), k - 1)],
+                       dtype=np.int64).reshape(-1, k - 1)
+    (Es,) = _ints(factorial(k - 1) * _top(E) ** (k - 1), E)
+    normals, g = _canonical(_minors_normal(Es[subsets]))
+    mine = np.repeat(np.arange(len(sizes)), sizes)
+    owner = mine[subsets[g != 0, 0]]
+    keep = _first(np.column_stack((owner, normals)))
+    R, owner = normals[keep], owner[keep]
+    # c normals span about c generators of small groups, or one big group
+    rs, es = _ints(int(np.abs(R).sum(1, dtype=object).max()) * _top(E), R, E)
+    step = max(1, min(isqrt(SCAN_ENTRIES), SCAN_ENTRIES // int(sizes.max())))
+    offs, members, counts = [], [], []
+    for lo in range(0, len(R), step):
+        own = owner[lo:lo + step, None]
+        a, b = starts[own[0, 0]], starts[own[-1, 0] + 1]
+        same = own == mine[a:b]
+        dots = rs[lo:lo + step] @ es[a:b].T
+        side = np.sign(dots).astype(np.int8) * same
+        offs.append(side @ V[a:b])
+        at, on = np.nonzero((dots == 0) & same)
+        members.append(on + a)
+        counts.append(np.bincount(at, minlength=len(own)))
+    members = np.concatenate(members)
+    fstarts = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    if k <= 3:  # rank 1 or 2: the first generators span the facet
+        basis = fstarts[:-1, None] + np.arange(k - 1)
+    else:
+        basis = np.array([[lo + i for i in _independent_subset(
+            E[members[lo:hi]].tolist())] for lo, hi in
+            zip(fstarts[:-1].tolist(), fstarts[1:].tolist())])
+    fv, fc, facet = _span_cells(E[members], V[members], fstarts, basis)
+
+    bound = np.maximum.reduceat(np.abs(E).max(axis=1), starts[:-1])
+    cmax = _top(fc)
+    fc, r, b = _ints((1 + k * cmax * _top(bound)) * _top(R) + cmax,
+                     fc, R[facet], bound[owner[facet]])
+    lr = (1 + np.abs(fc).sum(1) * b)[:, None] * r
+    off = np.concatenate(offs)[facet]
+    verts, wits = _pairs(off + fv, fv - off), _pairs(lr + fc, fc - lr)
+    group = np.repeat(owner[facet], 2)
+    keep = _first(np.column_stack((group, verts)))
+    return verts[keep], wits[keep], group[keep]
 
 
 def zonotope_vertices(generators: Sequence[Sequence[int]],
@@ -180,14 +217,17 @@ def zonotope_vertices(generators: Sequence[Sequence[int]],
             f"zonotope dimension {dim} exceeds cap {config.dim_cap}")
 
     # merge parallel generators into one aggregate per primitive direction
+    nonzero = [e for e in gens if any(e)]
+    if not nonzero:
+        return [ZonotopeVertex((0,) * dim, (0,) * dim)]
+    primitive, g = _canonical(np.array(nonzero, dtype=object))
     classes: dict = {}
-    for e in gens:
-        p, alpha = _primitive(e)
-        if p is not None:
-            classes[p] = classes.get(p, 0) + abs(alpha)
-    if not classes:
-        zero = (0,) * dim
-        return [ZonotopeVertex(zero, zero)]
+    for p, alpha in zip(map(tuple, primitive.tolist()), g.tolist()):
+        classes[p] = classes.get(p, 0) + alpha
     aggregates = [tuple(classes[p] * a for a in p) for p in sorted(classes)]
-    return [ZonotopeVertex(v, c)
-            for v, c in sorted(_span_cells(aggregates, aggregates))]
+    (V,) = _ints(sum(max(map(abs, v)) for v in aggregates),
+                 np.array(aggregates, dtype=object))
+    verts, wits, _ = _span_cells(V, V, np.array([0, len(V)]),
+                                 np.array([_independent_subset(aggregates)]))
+    return [ZonotopeVertex(v, c) for v, c in
+            sorted(zip(map(tuple, verts.tolist()), map(tuple, wits.tolist())))]

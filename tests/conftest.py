@@ -14,9 +14,10 @@ from gravopt.config import DEFAULT_CONFIG
 from gravopt.convexopt import MaxLinearObjective
 from gravopt.errors import DimensionMismatchError, InternalInconsistencyError
 from gravopt.graver import INT64_BOUND, GraverBasis, Int64View, conformal_leq
-from gravopt.intlinalg import IntMat, dot, vec_sub
+from gravopt.intlinalg import IntMat, _column_echelon, dot, vec_sub
 from gravopt.ipsolve import SolveOutcome
 from gravopt.nfold import NFoldStencil
+from gravopt.zonotope import ZonotopeVertex
 
 # the 2x2 line-sum stencil: A1 = I_4, A2 = row and column sums of a layer
 TRANSPORT_2x2 = NFoldStencil(
@@ -505,3 +506,113 @@ def hull_extreme_points(gens: list) -> list:
                     for p, q in zip(pts, padded)}
         return sorted(by_image[v] for v in hull_vertices_2d(by_image))
     return _vertices_3d(pts)
+
+
+# -- the recursive zonotope enumeration: the oracle for gravopt.zonotope -----
+
+def primitive_direction(e):
+    """Canonical primitive direction p (first nonzero entry positive) and
+    the integer alpha with e = alpha * p.  Returns (None, 0) for zero."""
+    g = 0
+    for a in e:
+        g = math.gcd(g, abs(a))
+    if g == 0:
+        return None, 0
+    p = tuple(a // g for a in e)
+    if next(a for a in p if a) < 0:
+        return tuple(-a for a in p), -g
+    return p, g
+
+
+def _minors_normal_exact(rows) -> tuple:
+    """The signed maximal minors of k-1 vectors in Z^k, by Laplace
+    expansion along the rows on Python ints: entry j is (-1)^j times the
+    determinant without column j."""
+    k = len(rows[0])
+    dets = {(): 1}
+    for size, row in enumerate(reversed(rows), 1):
+        expanded = {}
+        for S in itertools.combinations(range(k), size):
+            total, sign = 0, 1
+            for t, c in enumerate(S):
+                total += sign * row[c] * dets[S[:t] + S[t + 1:]]
+                sign = -sign
+            expanded[S] = total
+        dets = expanded
+    return tuple(-m if j & 1 else m
+                 for j, m in enumerate(reversed(dets.values())))
+
+
+def _reference_span_cells(gens: list, vecs: list) -> list:
+    """(vertex, witness) cells of pairwise non-parallel nonzero generators,
+    one `_column_echelon` per call: generators of a proper subspace are
+    taken in Gram coordinates against the greedy independent subset, and
+    witnesses are mapped back and divided by their gcd."""
+    A = IntMat(len(gens), len(gens[0]), tuple(gens))
+    basis = [gens[r] for r, _ in _column_echelon(A)[2]]
+    dim = len(gens[0])
+    if len(basis) == dim:
+        cells = _reference_cells(gens, vecs)
+    else:
+        reduced = [tuple(dot(b, e) for b in basis) for e in gens]
+        cells = [(v, tuple(sum(yi * b[j] for yi, b in zip(y, basis))
+                           for j in range(dim)))
+                 for v, y in _reference_cells(reduced, vecs)]
+    out = []
+    for v, c in cells:
+        g = math.gcd(*c)
+        out.append((v, tuple(a // g for a in c)))
+    return out
+
+
+def _reference_cells(reduced: list, vecs: list) -> list:
+    """Cells of generators of rank k in Z^k by recursion over the facets
+    of their zonotope, one facet normal at a time, the first cell per
+    vertex kept."""
+    k = len(reduced[0])
+    if k == 1:
+        if len(reduced) != 1:
+            raise InternalInconsistencyError(
+                "non-parallel generators in a rank-1 span")
+        e, v = reduced[0], vecs[0]
+        return [(v, e), (tuple(-a for a in v), tuple(-a for a in e))]
+    normals: dict = {}
+    for subset in itertools.combinations(reduced, k - 1):
+        r = primitive_direction(_minors_normal_exact(subset))[0]
+        if r is not None:
+            normals.setdefault(r, None)
+    bound = max(abs(a) for e in reduced for a in e)
+    dim = len(vecs[0])
+    cells: dict = {}
+    for r in normals:
+        sides = [(d > 0) - (d < 0) for d in (dot(r, e) for e in reduced)]
+        on = [i for i, side in enumerate(sides) if side == 0]
+        off = [sum(side * v[j] for side, v in zip(sides, vecs))
+               for j in range(dim)]
+        for facet_vertex, c in _reference_span_cells(
+                [reduced[i] for i in on], [vecs[i] for i in on]):
+            lam = 1 + sum(abs(a) for a in c) * bound
+            for s in (1, -1):
+                vertex = tuple(s * a + b for a, b in zip(off, facet_vertex))
+                if vertex not in cells:
+                    cells[vertex] = tuple(lam * s * a + b
+                                          for a, b in zip(r, c))
+    return list(cells.items())
+
+
+def reference_zonotope_vertices(generators, dim=None) -> list:
+    """`zonotope.zonotope_vertices` by the recursion on Python ints, one
+    facet at a time: the oracle its vertices, certificates and order must
+    equal byte for byte."""
+    gens = [tuple(int(a) for a in e) for e in generators]
+    dim = len(gens[0]) if gens else dim
+    classes: dict = {}
+    for e in gens:
+        p, alpha = primitive_direction(e)
+        if p is not None:
+            classes[p] = classes.get(p, 0) + abs(alpha)
+    if not classes:
+        return [ZonotopeVertex((0,) * dim, (0,) * dim)]
+    aggregates = [tuple(classes[p] * a for a in p) for p in sorted(classes)]
+    return [ZonotopeVertex(v, c)
+            for v, c in sorted(_reference_span_cells(aggregates, aggregates))]

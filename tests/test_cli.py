@@ -436,6 +436,22 @@ def test_weight_tables_of_the_wrong_shape_are_usage_errors(files, capsys):
             assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_repeated_multiway_keys_are_usage_errors(files, capsys):
+    # a dict built from the pairs would keep the last value of a key
+    multiway = _as_multiway(TRANSPORT_INSTANCE)
+    margins = multiway["margins"] + [[[0, 0, None], 7]]
+    weights = [multiway["weights"][0] + [[[0, 0, 0], 9]]] \
+        + multiway["weights"][1:]
+    for doc, message in ((dict(multiway, margins=margins),
+                          "repeated margin key [0, 0, null]"),
+                         (dict(multiway, weights=weights),
+                          "repeated weight key [0, 0, 0]")):
+        inst = files("dup.json", json.dumps(doc))
+        for cmd in ("transport", "verify"):
+            assert dispatch([cmd, inst]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+
+
 def test_env_overrides_and_flag_precedence(files, monkeypatch, capsys):
     gens = files("g.mat", "1 2\n1 1\n")
     monkeypatch.setenv("GRAVOPT_DIM_CAP", "1")
