@@ -9,8 +9,7 @@ vertex.  Everything runs in exact integer (or rational) arithmetic.
 from .apps import (MultiwayInstance, PackingInstance, PartitionInstance,
                    build_multiway, build_packing, build_partition,
                    build_threeway, cluster_variance)
-from .bruteforce import (EnumBudget, brute_convex_max, brute_force_graver,
-                         enumerate_feasible)
+from .bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
 from .config import DEFAULT_CONFIG, RunConfig
 from .convexopt import (CallbackObjective, ConvexObjective, ConvexOutcome,
                         LinearObjective, MaxLinearObjective, ObjectiveWeights,
@@ -39,7 +38,7 @@ __all__ = [
     "ObjectiveWeights", "PackingInstance", "PartitionInstance",
     "ResourceLimitError", "RunConfig", "SolveOutcome",
     "SquaredNormObjective", "UsageError", "ZonotopeVertex",
-    "augment_to_optimum", "brute_convex_max", "brute_force_graver",
+    "augment_to_optimum", "brute_convex_max",
     "build_multiway", "build_packing", "build_partition", "build_threeway",
     "cluster_variance", "conformal_leq",
     "convex_maximize", "dot", "enumerate_feasible", "find_feasible",

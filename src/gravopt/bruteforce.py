@@ -1,9 +1,8 @@
-"""Independent desk-scale oracles: exhaustive lattice enumeration,
-exhaustive convex maximization, Graver bases by box enumeration.
+"""Independent desk-scale oracles: exhaustive lattice enumeration and
+exhaustive convex maximization.
 
-These deliberately share no search code with the main pipeline (the
-Graver oracle reuses only its conformal-minimality filter); the verify
-command and the test suite compare the two.
+These deliberately share no search code with the main pipeline; the
+verify command and the test suite compare the two.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import numpy as np
 
 from .convexopt import ConvexObjective, ObjectiveWeights
 from .errors import DimensionMismatchError, ResourceLimitError
-from .graver import GraverBasis, _minimal_filter
-from .intlinalg import IntMat, mat_vec
+from .intlinalg import IntMat
 
 _CHUNK = 65536
 
@@ -93,20 +91,3 @@ def brute_convex_max(points: Sequence[Sequence[int]],
             best = (z, x)
     return best[1], best[0]
 
-
-def brute_force_graver(A: IntMat, box: int) -> GraverBasis:
-    """Test oracle: enumerate kernel points in [-box, box]^n, filter to the
-    conformally minimal ones.  Correct whenever every true basis element
-    fits in the box.
-
-    The kernel points are the y - box*1 with A y = A (box, .., box) and
-    y in [0, 2*box]^n, so `enumerate_feasible` and its default budget do
-    the enumeration.
-    """
-    if box <= 0:
-        raise ValueError("box must be positive")
-    n = A.cols
-    ys = enumerate_feasible(A, mat_vec(A, (box,) * n),
-                            EnumBudget(bounds=(2 * box,) * n))
-    pts = [x for x in (tuple(v - box for v in y) for y in ys) if any(x)]
-    return GraverBasis(tuple(sorted(_minimal_filter(pts))), A)

@@ -68,12 +68,6 @@ def parse_stencil(text: str) -> NFoldStencil:
     return NFoldStencil(a1, a2)
 
 
-def format_stencil(stencil: NFoldStencil) -> str:
-    return "{} {} {}\n{}{}".format(stencil.r, stencil.s, stencil.t,
-                                   format_matrix(stencil.A1),
-                                   format_matrix(stencil.A2))
-
-
 def parse_rhs(text: str) -> NFoldRhs:
     """Header line "r s n", one line of r integers (b0), then n lines of
     s integers (per-layer right-hand sides)."""
@@ -96,16 +90,6 @@ def parse_rhs(text: str) -> NFoldRhs:
     if len(b0) != r or any(len(row) != s for row in layers):
         raise UsageError("rhs body disagrees with the r s n header")
     return NFoldRhs.make(b0, layers)
-
-
-def format_rhs(rhs: NFoldRhs) -> str:
-    s = len(rhs.layer_rhs[0]) if rhs.layer_rhs else 0
-    lines = ["{} {} {}".format(len(rhs.b0), s, rhs.n)]
-    if rhs.b0:
-        lines.append(" ".join(str(v) for v in rhs.b0))
-    lines.extend(" ".join(str(v) for v in layer)
-                 for layer in rhs.layer_rhs if layer)
-    return "\n".join(lines) + "\n"
 
 
 def _read(path: str) -> str:

@@ -3,8 +3,8 @@
 Every cap can be overridden by an environment variable (flags passed on
 the command line win over the environment):
 
-    GRAVOPT_BASIS_CAP   max number of Graver basis elements
-    GRAVOPT_LIFT_CAP    max number of layer placements when lifting a basis
+    GRAVOPT_BASIS_CAP   max number of basis elements: a completion's
+                        working set, or a lifted basis's distinct elements
     GRAVOPT_DIM_CAP     max zonotope dimension
 """
 
@@ -19,7 +19,6 @@ _ENV_PREFIX = "GRAVOPT_"
 @dataclass(frozen=True)
 class RunConfig:
     basis_cap: int = 1_000_000
-    lift_cap: int = 5_000_000
     dim_cap: int = 6
 
     def __post_init__(self):
@@ -33,9 +32,14 @@ class RunConfig:
         cfg = cls()
         kwargs = {}
         for f in fields(cls):
-            raw = os.environ.get(_ENV_PREFIX + f.name.upper())
+            name = _ENV_PREFIX + f.name.upper()
+            raw = os.environ.get(name)
             if raw is not None:
-                kwargs[f.name] = int(raw)
+                try:
+                    kwargs[f.name] = int(raw)
+                except ValueError:
+                    raise ValueError(
+                        f"{name} must be an integer, got {raw!r}") from None
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return replace(cfg, **kwargs) if kwargs else cfg
 

@@ -4,17 +4,19 @@ The basis of a matrix A is the set of conformally-minimal nonzero integer
 vectors in ker(A).  It is computed by a Pottier-style normal-form
 completion: seed with the signed lattice kernel basis, close under pair
 sums reduced to conformal normal form, then filter to minimal elements.
-The test oracle, a brute-force box enumeration of the same set, is
-`bruteforce.brute_force_graver`.  A basis also carries two array views
-of itself, built when first asked for: `GraverBasis.int64_view`, whose
-values are int64 and bounded, and `GraverBasis.exact_view`, whose values
-are Python ints.  One builder, `_view`, makes both from the basis's
-nonzero entries as (element, column, value) arrays: a dense basis reads
-them off its elements with numpy, a block of rows at a time, and a
-lifted basis (`nfold.LiftedBasis`) hands them over from its bricks.  The
-augmentation kernels and the projection `GraverBasis.project` run on
-either view; the exact view is built only when a value is past an int64
-guard.
+The critical pairs are streamed from the working set's indices
+(`_critical_pairs`), never queued, so `RunConfig.basis_cap` on the
+working set bounds the completion's memory too.
+
+A basis also carries two array views of itself, built when first asked
+for: `GraverBasis.int64_view`, whose values are int64 and bounded, and
+`GraverBasis.exact_view`, whose values are Python ints.  One builder,
+`_view`, makes both from the basis's nonzero entries as (element,
+column, value) arrays: a dense basis reads them off its elements with
+numpy, a block of rows at a time, and a lifted basis
+(`nfold.LiftedBasis`) hands them over from its bricks.  The augmentation
+kernels and the projection `GraverBasis.project` run on either view; the
+exact view is built only when a value is past an int64 guard.
 """
 
 from __future__ import annotations
@@ -281,10 +283,25 @@ def _minimal_filter(vectors) -> list:
     return kept
 
 
+def _critical_pairs(basis: list):
+    """The pairs (i, j), i <= j, of a working set that grows while they
+    are read, first in first out: the seeded upper triangle i-major, then
+    (k, idx) for k = 0..idx, for each index idx appended since, in turn."""
+    seeded = len(basis)
+    for i in range(seeded):
+        for j in range(i, seeded):
+            yield i, j
+    idx = seeded
+    while idx < len(basis):
+        for k in range(idx + 1):
+            yield k, idx
+        idx += 1
+
+
 def graver_basis(A: IntMat, config: RunConfig = DEFAULT_CONFIG) -> GraverBasis:
     """Completion procedure for the full basis of A.
 
-    Raises ResourceLimitError when the intermediate set would exceed
+    Raises ResourceLimitError when the working set would exceed
     config.basis_cap; never truncates silently.
     """
     kernel = lattice_kernel_basis(A)
@@ -296,11 +313,7 @@ def graver_basis(A: IntMat, config: RunConfig = DEFAULT_CONFIG) -> GraverBasis:
             r = _normal_form(s, basis)
             if any(r):
                 basis.append(r)
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
-    head = 0
-    while head < len(pairs):
-        i, j = pairs[head]
-        head += 1
+    for i, j in _critical_pairs(basis):
         s = tuple(a + b for a, b in zip(basis[i], basis[j]))
         if not any(s):
             continue
@@ -308,11 +321,9 @@ def graver_basis(A: IntMat, config: RunConfig = DEFAULT_CONFIG) -> GraverBasis:
         if not any(r):
             continue
         for new in (r, tuple(-a for a in r)):
-            idx = len(basis)
             basis.append(new)
             if len(basis) > config.basis_cap:
                 raise ResourceLimitError(
                     f"Graver completion exceeded basis cap {config.basis_cap}")
-            pairs.extend((k, idx) for k in range(idx + 1))
     minimal = _minimal_filter(basis)
     return GraverBasis(tuple(sorted(minimal)), A)

@@ -218,20 +218,17 @@ class LiftedBasis(GraverBasis):
 def _lift_basis(stencil: NFoldStencil, g: int, n: int,
                 config: RunConfig) -> LiftedBasis:
     """Place the nonzero bricks of every element of the level-g basis into
-    every increasing choice of n layers.  Both caps are checked before
-    anything is placed: lift_cap on the placements, sum C(n, tau) over
-    the level-g elements of tau nonzero bricks, and basis_cap on the
-    distinct (bricks, positions) pairs, whose dense vectors are distinct.
+    every increasing choice of n layers.  Level-g elements with the same
+    nonzero bricks place alike, so each bricks tuple is placed once, and
+    basis_cap is checked on the lifted size, sum C(n, tau) over the
+    distinct bricks tuples of tau bricks, before anything is placed: the
+    (bricks, positions) pairs are distinct, and so are their dense vectors.
     Canonical (lexicographic) order is the order of the sparse keys:
     (1, -c, a) for a > 0 and (-1, c, a) for a < 0 at column c, then (0,)."""
     t = stencil.t
     base = _cached_graver(nfold_matrix(stencil, g), config.basis_cap)
-    shapes = [tuple(b for b in split_layers(e, g, t) if any(b))
-              for e in base.elements]
-    if sum(math.comb(n, len(b)) for b in shapes) > config.lift_cap:
-        raise ResourceLimitError(
-            f"lifted basis placement count exceeds cap {config.lift_cap}")
-    shapes = dict.fromkeys(shapes)
+    shapes = dict.fromkeys(tuple(b for b in split_layers(e, g, t) if any(b))
+                           for e in base.elements)
     size = sum(math.comb(n, len(b)) for b in shapes)
     if size > config.basis_cap:
         raise ResourceLimitError(

@@ -8,15 +8,17 @@ import random
 
 import numpy as np
 
-from gravopt import nfold
+from gravopt import graver, nfold
 from gravopt.apps import build_threeway
+from gravopt.bruteforce import EnumBudget, enumerate_feasible
 from gravopt.config import DEFAULT_CONFIG
 from gravopt.convexopt import MaxLinearObjective
 from gravopt.errors import DimensionMismatchError, InternalInconsistencyError
 from gravopt.graver import INT64_BOUND, GraverBasis, Int64View, conformal_leq
-from gravopt.intlinalg import IntMat, _column_echelon, dot, vec_sub
+from gravopt.intlinalg import (IntMat, _column_echelon, dot, format_matrix,
+                               lattice_kernel_basis, mat_vec, vec_sub)
 from gravopt.ipsolve import SolveOutcome
-from gravopt.nfold import NFoldStencil
+from gravopt.nfold import NFoldRhs, NFoldStencil
 from gravopt.zonotope import ZonotopeVertex
 
 # the 2x2 line-sum stencil: A1 = I_4, A2 = row and column sums of a layer
@@ -32,6 +34,11 @@ STABILIZATION_STENCILS = (
     NFoldStencil(IntMat(2, 2, ((1, 0), (0, 1))), IntMat(1, 2, ((1, -2),))),
     TRANSPORT_2x2,
 )
+
+# Graver complexity 3, with level-3 elements of one and two nonzero
+# bricks: at n = 7, 1008 placements give 476 distinct elements
+SPARSE_LEVEL_3 = NFoldStencil(IntMat(1, 3, ((1, 1, 1),)),
+                              IntMat(1, 3, ((1, 0, -1),)))
 
 
 # -- vector and matrix helpers only the tests use ---------------------------
@@ -358,13 +365,63 @@ def hull_edges_2d(points) -> list:
     return sorted(dirs)
 
 
+def brute_force_graver(A: IntMat, box: int) -> GraverBasis:
+    """Oracle for `graver_basis`: enumerate kernel points in
+    [-box, box]^n, filter to the conformally minimal ones.  Correct
+    whenever every true basis element fits in the box.
+
+    The kernel points are the y - box*1 with A y = A (box, .., box) and
+    y in [0, 2*box]^n, so `enumerate_feasible` and its default budget do
+    the enumeration.
+    """
+    if box <= 0:
+        raise ValueError("box must be positive")
+    n = A.cols
+    ys = enumerate_feasible(A, mat_vec(A, (box,) * n),
+                            EnumBudget(bounds=(2 * box,) * n))
+    pts = [x for x in (tuple(v - box for v in y) for y in ys) if any(x)]
+    return GraverBasis(tuple(sorted(graver._minimal_filter(pts))), A)
+
+
+def reference_normal_forms(A: IntMat) -> list:
+    """Every vector the completion of A reduces to normal form, in order,
+    by the queued loop `graver_basis` ran before its pairs were streamed:
+    the seeds, then the pair sums, the pairs kept in a list and read from
+    a head index."""
+    seen = []
+
+    def reduce(v, basis):
+        seen.append(v)
+        return graver._normal_form(v, basis)
+
+    basis: list = []
+    for k in lattice_kernel_basis(A):
+        for s in (k, tuple(-a for a in k)):
+            r = reduce(s, basis)
+            if any(r):
+                basis.append(r)
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+    head = 0
+    while head < len(pairs):
+        i, j = pairs[head]
+        head += 1
+        s = tuple(a + b for a, b in zip(basis[i], basis[j]))
+        if not any(s):
+            continue
+        r = reduce(s, basis)
+        if not any(r):
+            continue
+        for new in (r, tuple(-a for a in r)):
+            idx = len(basis)
+            basis.append(new)
+            pairs.extend((k, idx) for k in range(idx + 1))
+    return seen
+
+
 def enumerate_nfold(stencil, rhs, layer_bounds) -> list:
     """Exhaustive n-fold fiber by per-layer enumeration: all brick
     solutions of A2 x = b_k within the layer bounds, combined across
     layers and filtered by the coupling sums A1."""
-    from gravopt.bruteforce import EnumBudget, enumerate_feasible
-    from gravopt.intlinalg import mat_vec
-
     per_layer = [enumerate_feasible(stencil.A2, bk,
                                     EnumBudget(max_points=10 ** 7,
                                                bounds=layer_bounds[k]))
@@ -398,6 +455,24 @@ def seeded_transport(n, d, seed):
         tuple(rng.randint(-2, 2) for _ in range(d))
         for _ in range(rng.randint(1, 3))))
     return stencil, rhs, codec.encode_weights(arrays), maxlin
+
+
+def format_stencil(stencil: NFoldStencil) -> str:
+    """The stencil text `cli.parse_stencil` reads."""
+    return "{} {} {}\n{}{}".format(stencil.r, stencil.s, stencil.t,
+                                   format_matrix(stencil.A1),
+                                   format_matrix(stencil.A2))
+
+
+def format_rhs(rhs: NFoldRhs) -> str:
+    """The rhs text `cli.parse_rhs` reads."""
+    s = len(rhs.layer_rhs[0]) if rhs.layer_rhs else 0
+    lines = ["{} {} {}".format(len(rhs.b0), s, rhs.n)]
+    if rhs.b0:
+        lines.append(" ".join(str(v) for v in rhs.b0))
+    lines.extend(" ".join(str(v) for v in layer)
+                 for layer in rhs.layer_rhs if layer)
+    return "\n".join(lines) + "\n"
 
 
 def lifted_basis(stencil, n):

@@ -6,12 +6,12 @@ import itertools
 import random
 import time
 
-from conftest import (STABILIZATION_STENCILS, enumerate_nfold,
-                      hull_extreme_points, hull_vertices_2d, lifted_basis,
-                      random_matrix)
+from conftest import (STABILIZATION_STENCILS, brute_force_graver,
+                      enumerate_nfold, hull_extreme_points, hull_vertices_2d,
+                      lifted_basis, random_matrix)
 from gravopt.apps import (PackingInstance, PartitionInstance, build_packing,
                           build_partition, build_threeway, cluster_variance)
-from gravopt.bruteforce import brute_convex_max, brute_force_graver
+from gravopt.bruteforce import brute_convex_max
 from gravopt.convexopt import (MaxLinearObjective, SquaredNormObjective,
                                solve_convex_nfold)
 from gravopt.graver import graver_basis

@@ -1,15 +1,20 @@
+import argparse
 import hashlib
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import format_rhs, format_stencil
 from gravopt import cli
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
 from gravopt.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK,
-                         EXIT_UNBOUNDED, EXIT_USAGE, dispatch, format_rhs,
-                         format_stencil, parse_rhs, parse_stencil)
+                         EXIT_UNBOUNDED, EXIT_USAGE, dispatch, parse_rhs,
+                         parse_stencil)
+from gravopt.config import RunConfig
 from gravopt.errors import InternalInconsistencyError
 from gravopt.intlinalg import IntMat
 from gravopt.nfold import NFoldRhs, NFoldStencil, nfold_matrix
@@ -328,6 +333,59 @@ def test_threads_is_not_an_option(files, capsys):
     gens = files("g.mat", "1 2\n1 1\n")
     assert dispatch(["zonotope", gens, "--threads", "2"]) == EXIT_USAGE
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+# one valid argument list per subcommand; parsing reads no file
+SUBCOMMAND_ARGS = {
+    "graver": ["m.txt"],
+    "nfold-graver": ["--stencil", "s.txt", "--n", "2"],
+    "zonotope": ["g.txt"],
+    "solve-ip": ["--stencil", "s.txt", "--n", "2", "--rhs", "r.txt",
+                 "--obj", "o.txt"],
+    "solve-convex": ["--stencil", "s.txt", "--n", "2", "--rhs", "r.txt",
+                     "--weights", "w.txt"],
+    "transport": ["i.json"], "pack": ["i.json"], "partition": ["i.json"],
+    "verify": ["i.json"],
+}
+
+
+def _subparsers() -> dict:
+    action, = (a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_lift_cap_is_not_an_option(capsys):
+    assert set(_subparsers()) == set(SUBCOMMAND_ARGS)
+    for command, args in SUBCOMMAND_ARGS.items():
+        assert dispatch([command, *args, "--lift-cap", "5"]) == EXIT_USAGE
+        assert "unrecognized arguments: --lift-cap 5" in capsys.readouterr().err
+
+
+def test_a_malformed_guard_variable_is_named(files, monkeypatch, capsys):
+    mat = files("m.txt", "1 3\n1 2 1\n")
+    monkeypatch.setenv("GRAVOPT_DIM_CAP", "abc")
+    assert dispatch(["graver", mat]) == EXIT_USAGE
+    assert "GRAVOPT_DIM_CAP must be an integer, got 'abc'" \
+        in capsys.readouterr().err
+
+
+def test_readme_guard_table_matches_the_run_config():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Resource guards", 1)[1].split("\n#", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("| `--")]
+    expected = [(f"`--{f.name.replace('_', '-')}`",
+                 f"`GRAVOPT_{f.name.upper()}`", f.default)
+                for f in fields(RunConfig)]
+    assert [(flag, env, int(default.replace(" ", "")))
+            for flag, env, default, _ in rows] == expected
+    flags = {flag.strip("`") for flag, _, _ in expected}
+    for command, parser in _subparsers().items():
+        guards = {opt for a in parser._actions for opt in a.option_strings
+                  if opt.endswith("-cap")}
+        assert guards == flags, command
 
 
 def test_objective_length_is_checked_before_solving(files, monkeypatch,

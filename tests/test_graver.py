@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_supports, col, conformal_decompose,
-                      random_matrix, supports_int64_view, vec_add)
+from conftest import (SPARSE_LEVEL_3, STABILIZATION_STENCILS, basis_supports,
+                      brute_force_graver, col, conformal_decompose,
+                      random_matrix, reference_normal_forms,
+                      supports_int64_view, vec_add)
 from gravopt import graver
-from gravopt.bruteforce import (EnumBudget, brute_force_graver,
-                                enumerate_feasible)
+from gravopt.bruteforce import EnumBudget, enumerate_feasible
 from gravopt.errors import ResourceLimitError
 from gravopt.graver import (INT64_BOUND, GraverBasis, conformal_leq,
                             graver_basis)
 from gravopt.intlinalg import IntMat, mat_vec, vec_sub
-from gravopt.nfold import NFoldStencil, nfold_graver
+from gravopt.nfold import NFoldStencil, nfold_graver, nfold_matrix
 
 small_vecs = st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(tuple)
 
@@ -145,6 +146,36 @@ def test_basis_cap_guard():
     A = IntMat(1, 4, ((1, 2, 3, 4),))
     with pytest.raises(ResourceLimitError):
         graver_basis(A, RunConfig(basis_cap=2))
+
+
+def test_completion_reduces_the_queued_loops_pair_sums_in_order(monkeypatch):
+    rng = random.Random(2602)
+    matrices = [random_matrix(rng, 2, cols) for cols in [4] * 90 + [5] * 10]
+    matrices += [nfold_matrix(st, n) for st in (*STABILIZATION_STENCILS,
+                                                SPARSE_LEVEL_3)
+                 for n in (2, 3)]
+    expected = [reference_normal_forms(A) for A in matrices]
+    seen = []
+    reduce = graver._normal_form
+
+    def recording(v, basis):
+        seen.append(v)
+        return reduce(v, basis)
+
+    monkeypatch.setattr(graver, "_normal_form", recording)
+    for A, sums in zip(matrices, expected):
+        seen.clear()
+        graver_basis(A)
+        assert seen == sums
+
+
+def test_basis_cap_bounds_the_working_set_exactly():
+    from gravopt.config import RunConfig
+    A = IntMat(1, 4, ((1, 2, 3, 4),))
+    assert len(graver_basis(A, RunConfig(basis_cap=30))) == 30
+    with pytest.raises(ResourceLimitError,
+                       match="Graver completion exceeded basis cap 29$"):
+        graver_basis(A, RunConfig(basis_cap=29))
 
 
 def test_brute_force_graver_matches_known():

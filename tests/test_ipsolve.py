@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (TRANSPORT_2x2, augment_exact, augment_scores_exact,
-                      drive_exact, random_matrix, seeded_transport)
+                      drive_exact, format_stencil, random_matrix,
+                      seeded_transport)
 from gravopt import cli, convexopt, graver, ipsolve, nfold
 from gravopt.apps import build_threeway
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
@@ -516,7 +517,7 @@ def test_solve_paths_never_build_the_lifted_elements(monkeypatch, tmp_path):
     assert "elements" not in basis.__dict__
     printed = _spy(monkeypatch, cli, "nfold_graver")
     path = tmp_path / "st.txt"
-    path.write_text(cli.format_stencil(TRANSPORT_2x2))
+    path.write_text(format_stencil(TRANSPORT_2x2))
     assert cli.dispatch(["nfold-graver", "--stencil", str(path), "--n", "32",
                          "--output", str(tmp_path / "out.txt")]) == 0
     basis, = printed

@@ -2,11 +2,10 @@ import itertools
 
 import pytest
 
-from conftest import (STABILIZATION_STENCILS, TRANSPORT_2x2, dense_lift,
-                      lifted_basis, vstack)
+from conftest import (SPARSE_LEVEL_3, STABILIZATION_STENCILS, TRANSPORT_2x2,
+                      brute_force_graver, dense_lift, lifted_basis, vstack)
 from test_graver import _assert_same_view
 from gravopt import nfold
-from gravopt.bruteforce import brute_force_graver
 from gravopt.config import RunConfig
 from gravopt.errors import ResourceLimitError
 from gravopt.graver import GraverBasis, graver_basis
@@ -20,11 +19,6 @@ from gravopt.nfold import (NFoldRhs, NFoldStencil, brick_type,
 # brick, so their placements collapse onto each other
 FREE_COLUMN = NFoldStencil(IntMat(1, 3, ((1, 1, 0),)),
                            IntMat(1, 3, ((1, -1, 0),)))
-
-# Graver complexity 3, with level-3 elements of one and two nonzero
-# bricks: at n = 7, 1008 placements give 476 distinct elements
-SPARSE_LEVEL_3 = NFoldStencil(IntMat(1, 3, ((1, 1, 1),)),
-                              IntMat(1, 3, ((1, 0, -1),)))
 
 
 def test_nfold_matrix_layout():
@@ -172,21 +166,10 @@ def test_lifted_elements_are_kernel_vectors():
 
 
 def test_lift_cap_guard():
-    with pytest.raises(ResourceLimitError):
-        nfold_graver(TRANSPORT_2x2, 40, RunConfig(lift_cap=10))
-    # two level-2 elements of two bricks each: 2 C(40, 2) = 1560
-    # placements, the cap trips one below that
-    assert len(nfold_graver(TRANSPORT_2x2, 40, RunConfig(lift_cap=1560))) \
-        == 1560
-    with pytest.raises(ResourceLimitError, match="exceeds cap 1559"):
-        nfold_graver(TRANSPORT_2x2, 40, RunConfig(lift_cap=1559))
-    # collapsing placements count before deduplication
-    assert len(nfold_graver(SPARSE_LEVEL_3, 7, RunConfig(lift_cap=1008))) \
-        == 476
-    with pytest.raises(ResourceLimitError, match="exceeds cap 1007"):
-        nfold_graver(SPARSE_LEVEL_3, 7, RunConfig(lift_cap=1007))
-    # checked before anything is placed: 2 C(10^6, 2) placements
-    with pytest.raises(ResourceLimitError, match="placement count"):
+    # basis_cap refuses a lift before anything is placed: 2 C(10^6, 2)
+    # elements
+    with pytest.raises(ResourceLimitError,
+                       match="lifted basis of 999999000000 elements"):
         nfold_graver(TRANSPORT_2x2, 10 ** 6)
 
 
