@@ -35,8 +35,7 @@ from .errors import (GravoptError, InfeasibleInstanceError,
 from .graver import graver_basis
 from .intlinalg import IntMat, format_matrix, parse_matrix
 from .ipsolve import INFEASIBLE, UNBOUNDED, solve_ip, solve_nfold_ip
-from .nfold import (NFoldRhs, NFoldStencil, canonical_placements,
-                    nfold_graver, nfold_matrix)
+from .nfold import NFoldRhs, NFoldStencil, nfold_graver, nfold_matrix
 from .zonotope import zonotope_vertices
 
 EXIT_OK = 0
@@ -78,9 +77,10 @@ def parse_rhs(text: str) -> NFoldRhs:
         r, s, n = (int(v) for v in lines[0].split())
     except ValueError:
         raise UsageError("rhs header must be three integers: r s n") from None
-    body = []
-    for ln in lines[1:]:
-        body.append(tuple(int(v) for v in ln.split()))
+    try:
+        body = [tuple(int(v) for v in ln.split()) for ln in lines[1:]]
+    except ValueError as exc:
+        raise UsageError(f"non-integer token in rhs body: {exc}") from None
     # empty lines (r == 0 or s == 0) are omitted from the body
     expected = (1 if r else 0) + (n if s else 0)
     if len(body) != expected:
@@ -100,10 +100,11 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _read_matrix(path: str) -> IntMat:
+def _read_parsed(path: str, parse=parse_matrix):
+    """parse(text of the file at path); a parse error names the file."""
     text = _read(path)
     try:
-        return parse_matrix(text)
+        return parse(text)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -145,12 +146,12 @@ def parse_objective(selector: str, d: int):
     if selector == "linear":
         return LinearObjective((1,) * d)
     if selector.startswith("linear:"):
-        mat = _read_matrix(selector[len("linear:"):])
+        mat = _read_parsed(selector[len("linear:"):])
         if mat.rows != 1:
             raise UsageError("linear objective file must have one row")
         objective = LinearObjective(mat.data[0])
     elif selector.startswith("maxlin:"):
-        mat = _read_matrix(selector[len("maxlin:"):])
+        mat = _read_parsed(selector[len("maxlin:"):])
         if mat.rows == 0:
             raise UsageError("maxlin objective file must have at least one row")
         objective = MaxLinearObjective(mat.data)
@@ -171,45 +172,50 @@ def _config_from_args(args) -> RunConfig:
 # Subcommands.
 
 def _cmd_graver(args, config: RunConfig) -> int:
-    basis = graver_basis(_read_matrix(args.matrix), config)
-    half = basis.canonical_half()
-    _emit(format_matrix(IntMat(len(half), basis.n, half)), args.output)
-    _summary(f"graver: {len(half)} canonical elements "
-             f"({len(basis)} with signs)")
+    basis = graver_basis(_read_parsed(args.matrix), config)
+    half = _emit_basis(basis, args.output)
+    _summary(f"graver: {half} canonical elements ({len(basis)} with signs)")
     return EXIT_OK
 
 
 def _cmd_nfold_graver(args, config: RunConfig) -> int:
-    stencil = parse_stencil(_read(args.stencil))
-    basis = nfold_graver(stencil, args.n, config)
-    half = canonical_placements(basis, stencil.t)
-    _emit(format_placements(half, args.n, stencil.t), args.output)
-    _summary(f"nfold-graver: n={args.n}, {len(half)} canonical elements")
+    stencil = _read_parsed(args.stencil, parse_stencil)
+    half = _emit_basis(nfold_graver(stencil, args.n, config), args.output)
+    _summary(f"nfold-graver: n={args.n}, {half} canonical elements")
     return EXIT_OK
 
 
+def _emit_basis(basis, output) -> int:
+    """Write the basis's canonical half; return its size."""
+    half = basis.half_placements()
+    _emit(format_placements(half, basis.n, basis.t), output)
+    return len(half)
+
+
 def format_placements(half: list, n: int, t: int) -> Iterator[str]:
-    """`format_matrix`'s text, line by line, for n-fold rows given as
-    (bricks, positions) pairs: each row joins cached brick strings and the
-    runs of zero bricks between them, cut from one zero row."""
-    blank = " ".join("0" * (n * t))  # k zero bricks: blank[:2kt - 1]
+    """`format_matrix`'s text, line by line, for rows of length n given
+    as (bricks, positions) pairs of bricks of width t: each row joins
+    cached brick strings and the runs of zeros between them, cut from one
+    zero row."""
+    blank = " ".join("0" * n)  # k zeros: blank[:2k - 1]
     texts: dict = {}
-    yield f"{len(half)} {n * t}\n"
+    yield f"{len(half)} {n}\n"
     for bricks, positions in half:
-        parts, prev = [], -1
-        for brick, pos in zip((*bricks, None), (*positions, n)):
-            if pos > prev + 1:
-                parts.append(blank[:2 * (pos - prev - 1) * t - 1])
-            if brick is not None:
-                if brick not in texts:
-                    texts[brick] = " ".join(map(str, brick))
-                parts.append(texts[brick])
-            prev = pos
+        parts, end = [], 0
+        for brick, pos in zip(bricks, positions):
+            if pos * t > end:
+                parts.append(blank[:2 * (pos * t - end) - 1])
+            if brick not in texts:
+                texts[brick] = " ".join(map(str, brick))
+            parts.append(texts[brick])
+            end = pos * t + t
+        if n > end:
+            parts.append(blank[:2 * (n - end) - 1])
         yield " ".join(parts) + "\n"
 
 
 def _cmd_zonotope(args, config: RunConfig) -> int:
-    gens = _read_matrix(args.generators)
+    gens = _read_parsed(args.generators)
     verts = zonotope_vertices(list(gens.data), dim=gens.cols, config=config)
     lines = ["{} ; {}".format(" ".join(str(v) for v in zv.vertex),
                               " ".join(str(v) for v in zv.certificate))
@@ -220,22 +226,22 @@ def _cmd_zonotope(args, config: RunConfig) -> int:
 
 
 def _cmd_solve_ip(args, config: RunConfig) -> int:
-    obj = _read_matrix(args.obj)
+    obj = _read_parsed(args.obj)
     if obj.rows != 1:
         raise UsageError("objective file must be a single-row matrix")
     w = obj.data[0]
     if args.stencil:
-        stencil = parse_stencil(_read(args.stencil))
+        stencil = _read_parsed(args.stencil, parse_stencil)
         if args.n is None:
             raise UsageError("--n is required with --stencil")
-        rhs = parse_rhs(_read(args.rhs))
+        rhs = _read_parsed(args.rhs, parse_rhs)
         rhs.check_shape(stencil, args.n)
         if len(w) != args.n * stencil.t:
             raise UsageError("objective length != n*t")
         out = solve_nfold_ip(stencil, args.n, w, rhs, config)
     else:
-        mat = _read_matrix(args.matrix)
-        rhs_mat = _read_matrix(args.rhs)
+        mat = _read_parsed(args.matrix)
+        rhs_mat = _read_parsed(args.rhs)
         if rhs_mat.rows != 1 or rhs_mat.cols != mat.rows:
             raise UsageError("rhs for --matrix must be a single row of "
                              "length equal to the row count")
@@ -286,10 +292,10 @@ def _solve_and_emit(args, config: RunConfig, schema: str, stencil, n: int,
 
 
 def _cmd_solve_convex(args, config: RunConfig) -> int:
-    stencil = parse_stencil(_read(args.stencil))
-    rhs = parse_rhs(_read(args.rhs))
+    stencil = _read_parsed(args.stencil, parse_stencil)
+    rhs = _read_parsed(args.rhs, parse_rhs)
     rhs.check_shape(stencil, args.n)
-    wmat = _read_matrix(args.weights)
+    wmat = _read_parsed(args.weights)
     if wmat.cols != args.n * stencil.t:
         raise UsageError("weight rows must have length n*t")
     return _solve_and_emit(args, config, "convex-solution-v1", stencil,

@@ -23,12 +23,13 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
+            _check_positive(f.name, getattr(self, f.name))
 
     @classmethod
     def from_env(cls, **overrides) -> "RunConfig":
-        """Defaults, then environment variables, then explicit overrides."""
+        """Defaults, then environment variables, then explicit overrides
+        (the command-line flags); a value that is not positive is named
+        by where it came from: the variable, or the flag."""
         cfg = cls()
         kwargs = {}
         for f in fields(cls):
@@ -40,8 +41,17 @@ class RunConfig:
                 except ValueError:
                     raise ValueError(
                         f"{name} must be an integer, got {raw!r}") from None
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
+            if overrides.get(f.name) is not None:
+                kwargs[f.name] = overrides[f.name]
+                name = "--" + f.name.replace("_", "-")
+            if f.name in kwargs:
+                _check_positive(name, kwargs[f.name])
         return replace(cfg, **kwargs) if kwargs else cfg
+
+
+def _check_positive(name: str, value: int) -> None:
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 DEFAULT_CONFIG = RunConfig()

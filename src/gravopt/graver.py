@@ -8,15 +8,22 @@ The critical pairs are streamed from the working set's indices
 (`_critical_pairs`), never queued, so `RunConfig.basis_cap` on the
 working set bounds the completion's memory too.
 
+Every basis is held one way, as brick placements (`GraverBasis`): each
+element is its nonzero bricks of width t and the increasing layers they
+go to.  A completed basis places each element as one brick of width n at
+layer 0; a lifted n-fold basis places the stencil-width bricks of its
+level-g elements into every choice of layers.  The dense vectors are
+built only when asked for.
+
 A basis also carries two array views of itself, built when first asked
 for: `GraverBasis.int64_view`, whose values are int64 and bounded, and
 `GraverBasis.exact_view`, whose values are Python ints.  One builder,
 `_view`, makes both from the basis's nonzero entries as (element,
-column, value) arrays: a dense basis reads them off its elements with
-numpy, a block of rows at a time, and a lifted basis
-(`nfold.LiftedBasis`) hands them over from its bricks.  The augmentation
-kernels and the projection `GraverBasis.project` run on either view; the
-exact view is built only when a value is past an int64 guard.
+column, value) arrays, which `GraverBasis._triples` reads off the
+distinct bricks with numpy, a block of bricks at a time, and repeats
+for every placement.  The augmentation kernels and the projection
+`GraverBasis.project` run on either view; the exact view is built only
+when a value is past an int64 guard.
 """
 
 from __future__ import annotations
@@ -135,6 +142,13 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))
 
 
+def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of range(lo[i], lo[i] + count[i]) over i."""
+    ends = np.cumsum(count)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(lo - ends + count, count))
+
+
 def _grouped(keys: np.ndarray, ids: np.ndarray, size: int) -> tuple:
     """(starts, grouped): the ids with key j are grouped[starts[j]:
     starts[j + 1]], in their order in `ids`."""
@@ -158,29 +172,40 @@ def _padded(elem: np.ndarray, counts: np.ndarray, values: np.ndarray,
     return table
 
 
-def _first_nonzero_positive(v: Sequence[int]) -> bool:
-    for a in v:
-        if a:
-            return a > 0
-    return False
-
-
 @dataclass(frozen=True, eq=False)
 class GraverBasis:
     """Sign-symmetric set of conformally minimal kernel vectors of `source`.
 
-    `elements` holds the full +/- set in lexicographic order (the canonical
-    order used for every deterministic tie-break downstream).  Two bases
-    are equal when their sources and elements are; a basis held in
-    another form (`nfold.LiftedBasis`) equals its dense counterpart.
+    The elements are held as brick placements: `placements` lists them
+    in lexicographic order (the canonical order used for every
+    deterministic tie-break downstream) as (bricks, positions) pairs,
+    the element's nonzero bricks of width t and the increasing layers,
+    of n // t, that they go to.  `graver_basis` places each element as
+    one brick at layer 0 (t = n); a lifted n-fold basis
+    (`nfold._lift_basis`) places stencil-width bricks.  The dense
+    vectors `elements` are built only when asked for.  Two bases are
+    equal when their sources and elements are, whatever their brick
+    width.
     """
 
-    elements: tuple  # tuple of IntVec, lex sorted, closed under negation
+    placements: tuple  # of (bricks, positions), canonical order
+    t: int
     source: IntMat
 
     @property
     def n(self) -> int:
         return self.source.cols
+
+    def _dense(self, placement: tuple) -> IntVec:
+        layers = [(0,) * self.t] * (self.n // self.t)
+        for brick, pos in zip(*placement):
+            layers[pos] = brick
+        return tuple(itertools.chain.from_iterable(layers))
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """The dense vectors, closed under negation, in canonical order."""
+        return tuple(map(self._dense, self.placements))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraverBasis):
@@ -191,39 +216,64 @@ class GraverBasis:
         return hash((self.source, self.elements))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.placements)
 
     def __getitem__(self, i: int) -> IntVec:
-        return self.elements[i]
+        return self._dense(self.placements[i])
 
     def __iter__(self):
         return iter(self.elements)
 
+    def half_placements(self) -> list:
+        """The placements of one representative per +/- pair, the one
+        whose first nonzero entry (in its first brick) is positive, in
+        canonical order."""
+        return [p for p in self.placements if next(filter(None, p[0][0])) > 0]
+
     def canonical_half(self) -> tuple:
         """One representative per +/- pair: first nonzero entry positive,
         lexicographically sorted.  This is the serialization order."""
-        return tuple(v for v in self.elements if _first_nonzero_positive(v))
+        return tuple(map(self._dense, self.half_placements()))
 
     def _triples(self, dtype) -> Optional[tuple]:
         """(elem, cols, vals): the nonzero entries, in element then column
-        order, values of the given dtype, read a block of rows at a time,
-        so the dense |G| x n array is never held; None when there are
-        none or an entry is outside int64."""
-        n = self.n
-        rows = max(1, VIEW_BLOCK_ENTRIES // max(n, 1))
+        order, values of the given dtype; None when there are none or an
+        entry is outside int64.  Each distinct brick is read once, a block
+        of bricks at a time, so a one-brick basis's |G| x n array is never
+        held whole; its entries are then repeated for every placement of
+        the brick, shifted by t per layer."""
+        placements = self.placements
+        if not placements:
+            return None
+        ids: dict = {}
+        slot_brick = np.array([ids.setdefault(brick, len(ids))
+                               for bricks, _ in placements
+                               for brick in bricks], dtype=np.int64)
+        positions = np.fromiter(
+            itertools.chain.from_iterable(p for _, p in placements),
+            dtype=np.int64, count=len(slot_brick))
+        elem = np.repeat(np.arange(len(placements)), np.fromiter(
+            map(len, (p for _, p in placements)), dtype=np.int64,
+            count=len(placements)))
+        bricks, t = list(ids), self.t
+        rows = max(1, VIEW_BLOCK_ENTRIES // max(t, 1))
         parts = []
-        for lo in range(0, len(self.elements), rows):
-            chunk = self.elements[lo:lo + rows]
+        for lo in range(0, len(bricks), rows):
+            chunk = bricks[lo:lo + rows]
             try:
                 block = np.fromiter(itertools.chain.from_iterable(chunk),
-                                    dtype=dtype, count=len(chunk) * n)
+                                    dtype=dtype, count=len(chunk) * t)
             except OverflowError:  # an entry outside int64
                 return None
-            i, j = np.nonzero(block.reshape(len(chunk), n))
-            parts.append((i + lo, j, block[i * n + j]))
-        if not parts:
-            return None
-        return tuple(np.concatenate(a) for a in zip(*parts))
+            i, j = np.nonzero(block.reshape(len(chunk), t))
+            parts.append((i + lo, j, block[i * t + j]))
+        brick, col, val = (np.concatenate(a) for a in zip(*parts))
+        per_brick = np.bincount(brick, minlength=len(bricks))
+        counts = per_brick[slot_brick]
+        entries = _ranges(_starts(per_brick)[slot_brick], counts)
+        return (np.repeat(elem, counts),
+                col[entries] + np.repeat(positions * t, counts),
+                val[entries])
 
     @functools.cached_property
     def int64_view(self) -> Optional[Int64View]:
@@ -306,7 +356,7 @@ def graver_basis(A: IntMat, config: RunConfig = DEFAULT_CONFIG) -> GraverBasis:
     """
     kernel = lattice_kernel_basis(A)
     if not kernel:
-        return GraverBasis((), A)
+        return GraverBasis((), A.cols, A)
     basis: list = []
     for k in kernel:
         for s in (k, tuple(-a for a in k)):
@@ -326,4 +376,5 @@ def graver_basis(A: IntMat, config: RunConfig = DEFAULT_CONFIG) -> GraverBasis:
                 raise ResourceLimitError(
                     f"Graver completion exceeded basis cap {config.basis_cap}")
     minimal = _minimal_filter(basis)
-    return GraverBasis(tuple(sorted(minimal)), A)
+    return GraverBasis(tuple(((v,), (0,)) for v in sorted(minimal)),
+                       A.cols, A)

@@ -71,7 +71,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .graver import INT64_BOUND, GraverBasis, Int64View, graver_basis
+from .graver import (INT64_BOUND, GraverBasis, Int64View, _ranges,
+                     graver_basis)
 from .intlinalg import IntMat, dot, solve_integer
 from .nfold import NFoldRhs, NFoldStencil, nfold_graver
 
@@ -153,13 +154,6 @@ def _check_point(x0: Sequence[int], basis: GraverBasis) -> None:
     if len(x0) != basis.n:
         raise DimensionMismatchError(
             f"point of length {len(x0)}, basis has {basis.n} columns")
-
-
-def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The concatenation of range(lo[i], lo[i] + count[i]) over i."""
-    ends = np.cumsum(count)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(lo - ends + count, count))
 
 
 def _gains(x: np.ndarray, view: Int64View, wg: np.ndarray,

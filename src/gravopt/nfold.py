@@ -5,11 +5,11 @@ a per-layer block A2.  The n-fold matrix repeats A1 across all n column
 blocks and places A2 block-diagonally.  For n beyond the stencil's
 Graver complexity, the basis of the big matrix is obtained by lifting the
 basis at the complexity level: every element there is placed, brick by
-brick, into every increasing choice of layers.  A lifted basis
-(`LiftedBasis`) is held brick-sparse, as the pairs (nonzero bricks,
-layer positions): its order, length, canonical half, views and printed
-rows are read from the pairs, and the dense n*t-long vectors are built
-only when `elements` is asked for.
+brick, into every increasing choice of layers.  The lifted basis is a
+`GraverBasis` of stencil-width bricks, held as the pairs (nonzero
+bricks, layer positions) as every basis is: its order, length,
+canonical half, views and printed rows are read from the pairs, and the
+dense n*t-long vectors are built only when `elements` is asked for.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, ResourceLimitError
-from .graver import GraverBasis, _first_nonzero_positive, graver_basis
+from .graver import GraverBasis, graver_basis
 from .intlinalg import IntMat, IntVec, mat_vec
 
 
@@ -154,69 +154,8 @@ def graver_complexity(stencil: NFoldStencil,
     return max(sum(abs(a) for a in g) for g in outer.elements)
 
 
-class LiftedBasis(GraverBasis):
-    """A lifted basis held brick-sparse: `placements` lists its elements
-    in canonical order as (bricks, positions), the nonzero bricks of a
-    level-g element and the increasing layers they go to.  The dense
-    vectors `elements` are built only when asked for."""
-
-    def __init__(self, placements: tuple, t: int, source: IntMat):
-        object.__setattr__(self, "placements", placements)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "source", source)
-
-    def _dense(self, placement: tuple) -> IntVec:
-        layers = [(0,) * self.t] * (self.n // self.t)
-        for brick, pos in zip(*placement):
-            layers[pos] = brick
-        return tuple(itertools.chain.from_iterable(layers))
-
-    @functools.cached_property
-    def elements(self) -> tuple:
-        return tuple(map(self._dense, self.placements))
-
-    def __len__(self) -> int:
-        return len(self.placements)
-
-    def __getitem__(self, i: int) -> IntVec:
-        return self._dense(self.placements[i])
-
-    def half_placements(self) -> list:
-        return [p for p in self.placements if _first_nonzero_positive(p[0][0])]
-
-    def canonical_half(self) -> tuple:
-        return tuple(map(self._dense, self.half_placements()))
-
-    def _triples(self, dtype):
-        """The view's entries, built one distinct bricks tuple at a time:
-        the elements with those bricks share their entries, shifted by t
-        per layer."""
-        import numpy as np  # loaded with graver; nfold needs it only here
-
-        if not self.placements:
-            return None
-        groups: dict = {}
-        for i, (bricks, positions) in enumerate(self.placements):
-            groups.setdefault(bricks, []).append((i, *positions))
-        parts = []
-        for bricks, rows in groups.items():
-            rows = np.array(rows, dtype=np.int64)
-            layer, col, val = zip(*((k, j, a) for k, brick in enumerate(bricks)
-                                    for j, a in enumerate(brick) if a))
-            try:
-                val = np.array(val, dtype=dtype)
-            except OverflowError:  # an entry outside int64
-                return None
-            cols = rows[:, 1:][:, layer] * self.t + col
-            parts.append((np.repeat(rows[:, 0], len(val)), cols.ravel(),
-                          np.tile(val, len(rows))))
-        elem, cols, vals = (np.concatenate(a) for a in zip(*parts))
-        order = np.argsort(elem, kind="stable")
-        return elem[order], cols[order], vals[order]
-
-
 def _lift_basis(stencil: NFoldStencil, g: int, n: int,
-                config: RunConfig) -> LiftedBasis:
+                config: RunConfig) -> GraverBasis:
     """Place the nonzero bricks of every element of the level-g basis into
     every increasing choice of n layers.  Level-g elements with the same
     nonzero bricks place alike, so each bricks tuple is placed once, and
@@ -243,17 +182,7 @@ def _lift_basis(stencil: NFoldStencil, g: int, n: int,
         ((bricks, positions) for bricks in shapes
          for positions in itertools.combinations(range(n), len(bricks))),
         key=lambda p: (*itertools.chain.from_iterable(map(keys, *p)), (0,)))
-    return LiftedBasis(tuple(placements), t, nfold_matrix(stencil, n))
-
-
-def canonical_placements(basis: GraverBasis, t: int) -> list:
-    """The canonical half of an n-fold basis as (bricks, positions) pairs:
-    read off a lifted basis, split out of a completed one's elements."""
-    if isinstance(basis, LiftedBasis):
-        return basis.half_placements()
-    half = (split_layers(v, basis.n // t, t) for v in basis.canonical_half())
-    return [tuple(zip(*((b, k) for k, b in enumerate(layers) if any(b))))
-            for layers in half]
+    return GraverBasis(tuple(placements), t, nfold_matrix(stencil, n))
 
 
 # below this many layers direct completion is preferred; the Graver

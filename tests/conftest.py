@@ -365,6 +365,13 @@ def hull_edges_2d(points) -> list:
     return sorted(dirs)
 
 
+def dense_basis(elements, source: IntMat) -> GraverBasis:
+    """The basis of the given dense vectors (canonical order) of source,
+    each placed as one brick at layer 0, as `graver_basis` places them."""
+    return GraverBasis(tuple(((v,), (0,)) for v in elements), source.cols,
+                       source)
+
+
 def brute_force_graver(A: IntMat, box: int) -> GraverBasis:
     """Oracle for `graver_basis`: enumerate kernel points in
     [-box, box]^n, filter to the conformally minimal ones.  Correct
@@ -380,7 +387,7 @@ def brute_force_graver(A: IntMat, box: int) -> GraverBasis:
     ys = enumerate_feasible(A, mat_vec(A, (box,) * n),
                             EnumBudget(bounds=(2 * box,) * n))
     pts = [x for x in (tuple(v - box for v in y) for y in ys) if any(x)]
-    return GraverBasis(tuple(sorted(graver._minimal_filter(pts))), A)
+    return dense_basis(sorted(graver._minimal_filter(pts)), A)
 
 
 def reference_normal_forms(A: IntMat) -> list:
@@ -476,7 +483,7 @@ def format_rhs(rhs: NFoldRhs) -> str:
 
 
 def lifted_basis(stencil, n):
-    """The package's lift (`nfold.LiftedBasis`) of the basis of
+    """The package's lift (`nfold._lift_basis`) of the basis of
     nfold_matrix(stencil, n) from the level-g basis, g the stencil's
     Graver complexity, for any n >= g: `nfold_graver` itself lifts only
     beyond max(g, 6) layers."""

@@ -104,10 +104,13 @@ LINE_SUM_STENCIL = ("4 4 4\n4 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
                     "4 4\n1 1 0 0\n0 0 1 1\n1 0 1 0\n0 1 0 1\n")
 
 
-# n = 7 is the first n that is lifted rather than completed; n = 128 is
-# the nfold-graver-n128 benchmark workload (perfbench/expected.json holds
-# the digest of the list of this one digest)
+# n = 5 and 6 are completed, one brick per element; n = 7 is the first n
+# that is lifted rather than completed; n = 128 is the nfold-graver-n128
+# benchmark workload (perfbench/expected.json holds the digest of the
+# list of this one digest)
 @pytest.mark.parametrize("n, digest", [
+    (5, "28e732dd41001dc04cb4884ead1a15d6f270a0fc544fd385d7c6579ecc2b4801"),
+    (6, "f7faf8f1b10310c5e7442fd3f6785ab6bb2bc0cef441080db9c5077e756660c2"),
     (7, "f4b699f0ba85abfdfbf7dd3ecd7c382a768dd9470b0aff8c62a7cd6265ce3838"),
     (8, "ee7340d1cc421f0710384beb9e1d48fd1c4124409277539915fa7d44075b003d"),
     (16, "67c61caf8e386c67dfe2466e1bfd0e5f74864831a6fef5155abd7a22fa473739"),
@@ -123,12 +126,18 @@ def test_nfold_graver_output_is_pinned(files, tmp_path, capsys, n, digest):
 
 
 def test_graver_output_is_pinned(files, tmp_path):
-    # the graver command keeps format_matrix
+    # written as one-brick placements, in format_matrix's text
     mat = files("b.mat", "2 4\n1 1 1 1\n1 2 3 4\n")
     out = tmp_path / "basis.txt"
     assert dispatch(["graver", mat, "--output", str(out)]) == EXIT_OK
     assert out.read_text() == ("5 4\n0 1 -2 1\n1 -2 1 0\n1 -1 -1 1\n"
                                "1 0 -3 2\n2 -3 0 1\n")
+
+
+def test_graver_of_a_matrix_without_columns(files, capsys):
+    mat = files("z.mat", "1 0\n")
+    assert dispatch(["graver", mat]) == EXIT_OK
+    assert capsys.readouterr().out == "0 0\n"
 
 
 def test_zonotope_subcommand(files, capsys):
@@ -368,6 +377,32 @@ def test_a_malformed_guard_variable_is_named(files, monkeypatch, capsys):
     assert dispatch(["graver", mat]) == EXIT_USAGE
     assert "GRAVOPT_DIM_CAP must be an integer, got 'abc'" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, flags, source", [
+    ({"GRAVOPT_BASIS_CAP": "0"}, [], "GRAVOPT_BASIS_CAP"),
+    ({}, ["--basis-cap", "0"], "--basis-cap"),
+], ids=["variable", "flag"])
+def test_a_non_positive_guard_is_named(files, monkeypatch, capsys, env,
+                                       flags, source):
+    mat = files("m.txt", "1 3\n1 2 1\n")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert dispatch(["graver", mat, *flags]) == EXIT_USAGE
+    assert f"{source} must be positive, got 0" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="basis_cap must be positive"):
+        RunConfig(basis_cap=0)
+
+
+def test_a_non_integer_rhs_entry_names_the_file(files, capsys):
+    stencil = files("st.txt", "1 0 2\n1 2\n1 1\n0 2\n")
+    rhs = files("r.txt", "1 0 2\n1 1 1 x\n")
+    obj = files("o.mat", "1 4\n1 1 1 1\n")
+    assert dispatch(["solve-ip", "--stencil", stencil, "--n", "2",
+                     "--rhs", rhs, "--obj", obj]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage error: {rhs}: non-integer token in rhs body" in err
+    assert "'x'" in err
 
 
 def test_readme_guard_table_matches_the_run_config():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (SPARSE_LEVEL_3, STABILIZATION_STENCILS, basis_supports,
                       brute_force_graver, col, conformal_decompose,
-                      random_matrix, reference_normal_forms,
+                      dense_basis, random_matrix, reference_normal_forms,
                       supports_int64_view, vec_add)
 from gravopt import graver
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
@@ -288,12 +288,12 @@ def test_int64_view_guards_its_entries_and_one_norms():
         (((top, -top, 2),), None),
     ]
     for elements, max_l1 in cases:
-        basis = GraverBasis(elements, IntMat(0, len(elements[0]), ()))
+        basis = dense_basis(elements, IntMat(0, len(elements[0]), ()))
         view = basis.int64_view
         assert (view and view.max_l1) == max_l1, elements
         # the exact view bounds nothing
         exact = basis.exact_view
         assert exact.max_l1 == sum(map(abs, elements[0])), elements
         _assert_same_view(basis)
-    empty = GraverBasis((), IntMat(0, 3, ()))
+    empty = dense_basis((), IntMat(0, 3, ()))
     assert empty.int64_view is None and empty.exact_view is None

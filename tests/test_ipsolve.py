@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import (TRANSPORT_2x2, augment_exact, augment_scores_exact,
-                      drive_exact, format_stencil, random_matrix,
-                      seeded_transport)
-from gravopt import cli, convexopt, graver, ipsolve, nfold
+                      dense_basis, drive_exact, format_stencil,
+                      random_matrix, seeded_transport)
+from gravopt import cli, convexopt, graver, ipsolve
 from gravopt.apps import build_threeway
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
 from gravopt.convexopt import (UNBOUNDED_POLYHEDRON, MaxLinearObjective,
@@ -14,7 +14,7 @@ from gravopt.convexopt import (UNBOUNDED_POLYHEDRON, MaxLinearObjective,
                                SquaredNormObjective, solve_convex_nfold)
 from gravopt.errors import (DimensionMismatchError,
                             InternalInconsistencyError)
-from gravopt.graver import INT64_BOUND, GraverBasis, Int64View, graver_basis
+from gravopt.graver import INT64_BOUND, Int64View, graver_basis
 from gravopt.intlinalg import IntMat, dot, mat_vec, solve_integer
 from gravopt.ipsolve import (INFEASIBLE, OPTIMAL, UNBOUNDED, SolveOutcome,
                              augment_to_optimum, drive_nonnegative,
@@ -512,7 +512,8 @@ def test_solve_paths_never_build_the_lifted_elements(monkeypatch, tmp_path):
     out = solve_convex_nfold(stencil, 32, weights, rhs, SquaredNormObjective())
     basis, = bases
     assert out.stats.oracle_queries > 10
-    assert isinstance(basis, nfold.LiftedBasis) and len(basis) == 992
+    # lifted: placed as bricks of the stencil's width 4
+    assert basis.t == 4 and len(basis) == 992
     assert "int64_view" in basis.__dict__
     assert "elements" not in basis.__dict__
     printed = _spy(monkeypatch, cli, "nfold_graver")
@@ -535,7 +536,7 @@ def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
     # every guard held, so the exact view was never built
     assert "exact_view" not in basis.__dict__
     # equality and hashing ignore the view
-    bare = GraverBasis(basis.elements, basis.source)
+    bare = dense_basis(basis.elements, basis.source)
     assert bare == basis and hash(bare) == hash(basis)
     assert "int64_view" not in bare.__dict__
     # neither nfold_graver nor the nfold-graver command builds it
@@ -612,7 +613,7 @@ def test_phase1_guards_fall_back_to_the_exact_loop(monkeypatch):
     limit = ipsolve._penalty_limit(line.int64_view)
     # the limit is the largest M with max|g|_1 (2M + 1) < 2^62
     for l1 in range(1, 9):
-        pm = GraverBasis(((l1,), (-l1,)), IntMat(0, 1, ()))
+        pm = dense_basis(((l1,), (-l1,)), IntMat(0, 1, ()))
         m = ipsolve._penalty_limit(pm.int64_view)
         assert l1 * (2 * m + 1) < INT64_BOUND <= l1 * (2 * m + 3)
 
@@ -644,7 +645,7 @@ def test_phase1_guards_fall_back_to_the_exact_loop(monkeypatch):
     assert fell_back((0, 5, 0, limit + 1))
     # a basis without an int64 view takes the exact view, and an empty
     # basis leaves x0 as it is
-    huge = GraverBasis((((1 << 62), 1), (-(1 << 62), -1)),
+    huge = dense_basis((((1 << 62), 1), (-(1 << 62), -1)),
                        IntMat(1, 2, ((1, -(1 << 62)),)))
     assert huge.int64_view is None
     assert drive((-(1 << 62), -1), huge) == (0, 0)

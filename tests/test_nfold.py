@@ -1,14 +1,17 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import (SPARSE_LEVEL_3, STABILIZATION_STENCILS, TRANSPORT_2x2,
-                      brute_force_graver, dense_lift, lifted_basis, vstack)
+                      brute_force_graver, dense_basis, dense_lift,
+                      lifted_basis, vstack)
 from test_graver import _assert_same_view
 from gravopt import nfold
 from gravopt.config import RunConfig
 from gravopt.errors import ResourceLimitError
-from gravopt.graver import GraverBasis, graver_basis
+from gravopt.cli import format_placements
+from gravopt.graver import graver_basis
 from gravopt.intlinalg import IntMat, mat_vec
 from gravopt.nfold import (NFoldRhs, NFoldStencil, brick_type,
                            graver_complexity, nfold_graver, nfold_matrix,
@@ -68,7 +71,7 @@ def test_trivial_stencil_has_empty_basis():
     assert len(nfold_graver(st, 3)) == 0
     # lifted from an empty level-1 basis: no entries, so no views
     lifted = nfold_graver(st, 8)
-    assert isinstance(lifted, nfold.LiftedBasis) and len(lifted) == 0
+    assert lifted.t == st.t and len(lifted) == 0
     assert lifted.int64_view is None and lifted.exact_view is None
 
 
@@ -104,6 +107,27 @@ def test_lifting_matches_direct_completion():
             lifted = lifted_basis(st, n)
             direct = graver_basis(nfold_matrix(st, n))
             assert set(lifted) == set(direct), (st, n)
+            # stencil-width and one-brick placements of one basis: the
+            # same views, canonical half and printed rows
+            assert (lifted.t, direct.t) == (st.t, n * st.t)
+            for field in ("int64_view", "exact_view"):
+                _assert_same_arrays(getattr(lifted, field),
+                                    getattr(direct, field))
+            assert lifted.canonical_half() == direct.canonical_half()
+            assert _printed(lifted) == _printed(direct), (st, n)
+
+
+def _assert_same_arrays(a, b):
+    for field, x, y in zip(a._fields, a, b):
+        if field == "max_l1":
+            assert x == y
+        else:
+            assert x.dtype == y.dtype and np.array_equal(x, y), field
+
+
+def _printed(basis):
+    return "".join(format_placements(basis.half_placements(), basis.n,
+                                     basis.t))
 
 
 def _first_nonzero_positive(v):
@@ -125,19 +149,21 @@ def test_lift_matches_the_dense_oracle():
                 filter(_first_nonzero_positive, dense))
             assert "elements" not in lifted.__dict__
             assert lifted.elements == tuple(dense)
-            assert lifted == GraverBasis(tuple(dense), lifted.source)
+            assert lifted == dense_basis(dense, lifted.source)
             _assert_same_view(lifted)
             collapsed += len(dense) < placements
     assert collapsed
 
 
 def test_canonical_placements_of_a_completed_basis():
-    # below the lifting threshold the basis is completed; its placements
-    # are split out of its dense elements, and match the lift's
+    # below the lifting threshold the basis is completed, one brick per
+    # element; it prints as the lift's stencil-width bricks do
     basis = nfold_graver(TRANSPORT_2x2, 5)
     lifted = lifted_basis(TRANSPORT_2x2, 5)
-    assert not isinstance(basis, nfold.LiftedBasis)
-    assert nfold.canonical_placements(basis, 4) == lifted.half_placements()
+    assert (basis.t, lifted.t) == (20, 4)
+    assert [bricks for bricks, _ in basis.half_placements()] == [
+        (v,) for v in basis.canonical_half()]
+    assert _printed(basis) == _printed(lifted)
     assert lifted.canonical_half() == basis.canonical_half()
 
 
