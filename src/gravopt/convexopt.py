@@ -5,7 +5,8 @@ enumerates the vertices of the resulting zonotope, and asks the linear
 oracle once per vertex, for the lifted objective h = c^T W of the vertex
 certificate c.  A convex comparison picks the winner among the projected
 optima.  Every reply is checked: c.z, with z = W.x read from the point x
-it returns, must equal the value h.x it reports.
+it returns, must equal the value h.x it reports.  Replies often share
+their point, so z is projected once per distinct point.
 
 A Graver basis is projected once per solve into the table P = G.W^T
 (`GraverBasis.project`): one `np.add.reduceat` over the basis's int64
@@ -19,16 +20,19 @@ basis for phase I, for the directions and for the oracle: graver_basis(A)
 unless the caller passes one, as `solve_convex_nfold` passes the n-fold
 basis.  It asks its vertex queries in chunks and never forms h: for a
 chunk of certificates C the scores h.g = c.(W.g) are the rows of C.P^T,
-computed in int64 when |c|_1 * max|P| < 2^62 for every c in it and on
-Python ints otherwise, and the start values are h.x0 = c.z0, z0 = W.x0
-projected once per solve.  `ipsolve.augment_batch` steps them all at
-once and reports each value as its start value plus the gains of its
-steps, so the check tests the kernel that answered.  A chunk holds
-max(8, CHUNK_ENTRIES // |G|) queries, so its score array stays near
-CHUNK_ENTRIES entries.  The replies are compared in vertex order by the
-loop of `convex_maximize`, which lifts h exactly (`lift_normal`) for its
-caller's oracle; a chunk's replies after an unbounded one are computed
-but never counted.
+and the start values are h.x0 = c.z0, z0 = W.x0 projected once per
+solve.  The certificates c of a chunk with |c|_1 * max|P| < 2^62 are
+batched in int64, and the others, if any, in a second batch on Python
+ints, so one large certificate does not send its whole chunk there.
+`ipsolve.augment_batch` steps a batch at once over shared states and
+reports each value as its start value plus the gains of its steps, so
+the check tests the kernel that answered.  A chunk holds max(8,
+CHUNK_ENTRIES // |G|) queries, so its score array, and the kernel's copy
+of it, stay near CHUNK_ENTRIES entries: one chunk or a few for the
+queries of a 2x2x32 solve.  The replies are compared in vertex order by
+the loop of `convex_maximize`, which lifts h exactly (`lift_normal`) for
+its caller's oracle; a chunk's replies after an unbounded one are
+computed but never counted.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ INFEASIBLE_OUTCOME = "infeasible"
 UNBOUNDED_POLYHEDRON = "unbounded-polyhedron"
 
 # score entries per chunk of batched vertex queries (module docstring)
-CHUNK_ENTRIES = 1 << 14
+CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -223,6 +227,7 @@ def _search(lip: Callable, weights: ObjectiveWeights, directions,
     stats.vertices = len(verts)
 
     best = None  # (z, x)
+    projected: dict = {}  # x -> W.x
     for vert, reply in zip(verts, replies(verts)):
         stats.oracle_queries += 1
         if reply.status == UNBOUNDED:
@@ -231,7 +236,9 @@ def _search(lip: Callable, weights: ObjectiveWeights, directions,
             raise InternalInconsistencyError(
                 "oracle reported infeasible after a feasible probe")
         x = reply.x
-        z = weights.project(x)
+        z = projected.get(x)
+        if z is None:
+            z = projected[x] = weights.project(x)
         if dot(vert.certificate, z) != reply.value:
             raise InternalInconsistencyError(
                 "projection identity cert.z != reply value failed")
@@ -258,12 +265,19 @@ def _batched_replies(x0: tuple, basis: GraverBasis,
     rows = max(8, CHUNK_ENTRIES // max(len(P), 1))
     for start in range(0, len(verts), rows):
         certs = [v.certificate for v in verts[start:start + rows]]
-        if max(sum(map(abs, c)) for c in certs) * top < INT64_BOUND:
-            dtype = np.int64
-        else:
-            dtype = object
-        wg = np.array(certs, dtype=dtype) @ P.astype(dtype, copy=False).T
-        yield from augment_batch(x0, basis, wg, [dot(c, z0) for c in certs])
+        small = [sum(map(abs, c)) * top < INT64_BOUND for c in certs]
+        replies = [None] * len(certs)
+        for dtype, fits in ((np.int64, True), (object, False)):
+            part = [i for i, s in enumerate(small) if s is fits]
+            if not part:
+                continue
+            C = np.array([certs[i] for i in part], dtype=dtype)
+            wg = C @ P.astype(dtype, copy=False).T
+            outs = augment_batch(x0, basis, wg,
+                                 [dot(certs[i], z0) for i in part])
+            for i, out in zip(part, outs):
+                replies[i] = out
+        yield from replies
 
 
 def solve_convex(A: IntMat, b: Sequence[int], weights: ObjectiveWeights,

@@ -77,7 +77,10 @@ class Int64View(NamedTuple):
     element i's negative entries as (column, -value), padded to the
     longest such list with copies of its first one, so a minimum over
     the slots is the minimum over the entries; an element with none is
-    padded with (0, 1), which phase II never reads.  The elements with a
+    padded with (0, 1).  Phase II reads that padding once, when it scores
+    every element at x0, as the step length x0[0]: finite, and multiplied
+    by max(w.g, 0) = 0, since a row with w.g > 0 on such an element is
+    unbounded and never scored.  The elements with a
     negative entry at coordinate j are readers[reader_starts[j]:
     reader_starts[j + 1]], and nonneg lists the elements with none.
     Element ids ascend (canonical order) within every list.
@@ -145,8 +148,9 @@ def _starts(counts: np.ndarray) -> np.ndarray:
 def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The concatenation of range(lo[i], lo[i] + count[i]) over i."""
     ends = np.cumsum(count)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(lo - ends + count, count))
+    out = np.repeat(lo - ends + count, count)
+    out += np.arange(len(out))
+    return out
 
 
 def _grouped(keys: np.ndarray, ids: np.ndarray, size: int) -> tuple:

@@ -47,18 +47,28 @@ first nonnegative element with w.g > 0 (canonical order) certifies
 unboundedness, `argmax` takes a row's first largest score
 lam*max(w.g, 0) (the canonical-order tie-break), and lam = score // w.g.
 A row's value is its start value plus the scores of its steps, summed
-on Python ints.  A move is applied through the CSR supports; only the
-(row, element) pairs whose element has a negative entry at a moved
-coordinate and w.g > 0 are re-scored, by flat gathers over the
-negative-entry table.  On the int64 view every product stays below
-2^62.  The values w.g are exact: `GraverBasis.project` computes them for
-one objective, and a batch's caller guards its own.  A call starts only
-when max(x0) <= limit = (2^62 - 1) // max(w.g), the maximum over the
-whole batch, and no step may carry a coordinate past limit; for a
-positive entry a that is checked as lam > (limit - x_j) // a, which
-cannot overflow.  When either check fails the whole call is re-run on
-the exact view from x0, as phase I is.  A negative entry in x0 sends the
-call there at once, and its first step raises
+on Python ints.
+
+The step length lam(x, g) depends only on the point and the element, so
+the rows step over shared states.  Every row starts at the one state x0,
+whose lam is computed once per call.  At each level the rows are grouped
+by (state, chosen element) with one `np.unique`; each distinct
+transition moves one point, through the CSR supports, into a new state.
+lam is recomputed once per transition, only at the elements with a
+negative entry at a coordinate it moved (deduplicated through a reusable
+mark buffer), and each row's scores are rewritten only there.  Rows that
+finish leave the score block, and live rows from its tail take their
+slots, so compaction never copies the block.
+
+On the int64 view every product stays below 2^62.  The values w.g are
+exact: `GraverBasis.project` computes them for one objective, and a
+batch's caller guards its own.  A call starts only when max(x0) <=
+limit = (2^62 - 1) // max(w.g), the maximum over the whole batch, and no
+step may carry a coordinate past limit; for a positive entry a that is
+checked as lam > (limit - x_j) // a, which cannot overflow.  Every score
+is then lam*w.g <= limit*max(w.g).  When either check fails the whole
+call is re-run on the exact view from x0, as phase I is.  A negative
+entry in x0 sends the call there at once, and its first step raises
 InternalInconsistencyError.
 """
 
@@ -71,7 +81,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .graver import (INT64_BOUND, GraverBasis, Int64View, _ranges,
+from .graver import (INT64_BOUND, GraverBasis, Int64View, _ranges, _starts,
                      graver_basis)
 from .intlinalg import IntMat, dot, solve_integer
 from .nfold import NFoldRhs, NFoldStencil, nfold_graver
@@ -138,6 +148,10 @@ def augment_batch(x0: Sequence[int], basis: GraverBasis, wg: np.ndarray,
     guard trips (module docstring).
     """
     _check_point(x0, basis)
+    if wg.shape != (len(values), len(basis)):
+        raise DimensionMismatchError(
+            f"scores of shape {wg.shape} for {len(values)} start values "
+            f"and a basis of {len(basis)} elements")
     if not len(basis):
         return [SolveOutcome.optimal(x0, v) for v in values]
     view = basis.int64_view
@@ -154,21 +168,6 @@ def _check_point(x0: Sequence[int], basis: GraverBasis) -> None:
     if len(x0) != basis.n:
         raise DimensionMismatchError(
             f"point of length {len(x0)}, basis has {basis.n} columns")
-
-
-def _gains(x: np.ndarray, view: Int64View, wg: np.ndarray,
-           pairs: np.ndarray) -> np.ndarray:
-    """Score lam*(w.g) of each (row, element) pair, given by its flat
-    index into wg; lam is the longest step keeping the row's point x[row]
-    nonnegative."""
-    rows, elems = np.divmod(pairs, wg.shape[1])
-    base = rows * x.shape[1]
-    lam = x.take(base + view.neg_cols[0].take(elems)) \
-        // view.neg_mags[0].take(elems)
-    for cols, mags in zip(view.neg_cols[1:], view.neg_mags[1:]):
-        np.minimum(lam, x.take(base + cols.take(elems)) // mags.take(elems),
-                   out=lam)
-    return lam * wg.take(pairs)
 
 
 def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
@@ -194,58 +193,138 @@ def _augment_rows(x0: Sequence[int], basis: GraverBasis, view: Int64View,
             live.append(q)
     if not live:
         return outs
+    size = wg.shape[1]
+    # the states: one point per distinct path; row i is at st[i]
+    X = np.array([x0], dtype=wg.dtype)
     ids = np.array(live)
-    wg = wg[ids]
+    st = np.zeros(len(ids), dtype=np.int64)
     value = np.array(values, dtype=object)[ids]
-    x = np.tile(np.array(x0, dtype=wg.dtype), (len(ids), 1))
-    low = min(x0)
-    n, size = basis.n, wg.shape[1]
-    hot = wg > 0
-    scores = np.zeros_like(wg)
-    pairs = np.flatnonzero(hot)
-    np.put(scores, pairs, _gains(x, view, wg, pairs))
+    # scores lam*max(w.g, 0), lam read once at x0 for the whole block
+    scores = wg[ids]
+    np.maximum(scores, 0, out=scores)
+    scores *= _step_lengths(X, view, np.zeros(size, dtype=np.int64),
+                            np.arange(size))
+    mark = np.zeros(len(ids) * size, dtype=bool)
+    k = len(ids)
     while True:
-        best = scores.argmax(axis=1)  # the first maximum: canonical order
-        gain = scores[np.arange(len(ids)), best]
+        best = scores[:k].argmax(axis=1)  # the first maximum: canonical order
+        gain = scores[np.arange(k), best]
         done = gain <= 0
-        for q, row, v in zip(ids[done], x[done], value[done]):
-            outs[q] = SolveOutcome.optimal(row.tolist(), v)
-        if done.all():
-            return outs
         if done.any():
+            finals: dict = {}
+            for q, s, v in zip(ids[done].tolist(), st[done].tolist(),
+                               value[done]):
+                if s not in finals:
+                    finals[s] = tuple(X[s].tolist())
+                outs[q] = SolveOutcome.optimal(finals[s], v)
             keep = ~done
-            ids, wg, hot, x, scores, best, gain, value = (
-                a[keep] for a in (ids, wg, hot, x, scores, best, gain, value))
+            k = int(keep.sum())
+            if not k:
+                return outs
+            # live rows from the tail fill the finished rows' slots, one
+            # row at a time, so no second score block is formed
+            order = np.arange(k)
+            holes = np.flatnonzero(done[:k])
+            order[holes] = k + np.flatnonzero(keep[k:])
+            for hole, row in zip(holes.tolist(), order[holes].tolist()):
+                scores[hole] = scores[row]
+            ids, st, value, best, gain = (
+                a[order] for a in (ids, st, value, best, gain))
         value += gain.astype(object)
-        rows = np.arange(len(ids))
-        lam = gain // wg[rows, best]
-        lo = view.starts[best]
-        count = view.starts[best + 1] - lo
-        rows = np.repeat(rows, count)
-        entries = _ranges(lo, count)
-        cols, vals = view.cols[entries], view.vals[entries]
-        steps = np.repeat(lam, count)
-        flat = rows * n + cols
-        old = x.take(flat)
-        if not exact:
-            # x_j + lam*a > limit, for a > 0, without forming lam*a
-            up = vals > 0
-            if (steps[up] > (limit - old[up]) // vals[up]).any():
-                return None
-        new = old + steps * vals
-        np.put(x, flat, new)
-        # a negative x0 (exact view only) is checked whole, as it may stay
-        if (new < 0).any() or (low < 0 and (x < 0).any()):
-            raise InternalInconsistencyError(
-                "augmentation left the nonnegative orthant")
-        lo = view.reader_starts[cols]
-        count = view.reader_starts[cols + 1] - lo
-        mark = np.zeros_like(hot)
-        np.put(mark, np.repeat(rows * size, count)
-               + view.readers[_ranges(lo, count)], True)
-        mark &= hot
-        pairs = np.flatnonzero(mark)
-        np.put(scores, pairs, _gains(x, view, wg, pairs))
+        # one transition per distinct (state, element): one step each
+        uniq, first, row_t = np.unique(st * size + best, return_index=True,
+                                       return_inverse=True)
+        parent, elem = np.divmod(uniq, size)
+        lam = gain[first] // wg[ids[first], elem]
+        moved = _step_states(X, view, parent, elem, lam,
+                             None if exact else limit)
+        if moved is None:
+            return None
+        X, trans, cols = moved
+        _rescore(scores, wg, ids, row_t, X, view, trans, cols, mark)
+        st = row_t
+
+
+def _step_states(X: np.ndarray, view: Int64View, parent: np.ndarray,
+                 elem: np.ndarray, lam: np.ndarray,
+                 limit: Optional[int]) -> Optional[tuple]:
+    """The points X[parent] + lam*g_elem of the new states, with the state
+    and column of each coordinate written; None when a written coordinate
+    passes limit (module docstring), which the exact view does not set."""
+    lo = view.starts[elem]
+    count = view.starts[elem + 1] - lo
+    trans = np.repeat(np.arange(len(elem)), count)
+    entries = _ranges(lo, count)
+    cols, vals = view.cols[entries], view.vals[entries]
+    steps = np.repeat(lam, count)
+    low = X.min()
+    X = X[parent]
+    flat = trans * X.shape[1] + cols
+    old = X.take(flat)
+    if limit is not None:
+        # x_j + lam*a > limit, for a > 0, without forming lam*a
+        up = vals > 0
+        if (steps[up] > (limit - old[up]) // vals[up]).any():
+            return None
+    new = old + steps * vals
+    np.put(X, flat, new)
+    # a negative x0 (exact view only) is checked whole, as it may stay
+    if (new < 0).any() or (low < 0 and (X < 0).any()):
+        raise InternalInconsistencyError(
+            "augmentation left the nonnegative orthant")
+    return X, trans, cols
+
+
+def _rescore(scores: np.ndarray, wg: np.ndarray, ids: np.ndarray,
+             row_t: np.ndarray, X: np.ndarray, view: Int64View,
+             trans: np.ndarray, cols: np.ndarray, mark: np.ndarray) -> None:
+    """After the states X[t] were written at (trans, cols), recompute the
+    step length of each state at every element with a negative entry at a
+    written coordinate, once per state, and rewrite the scores
+    lam*max(w.g, 0) of each row i at its state row_t[i] there; rows i of
+    scores belong to the rows ids[i] of wg, and mark is an all-False
+    buffer of at least len(X) * |G| entries, left all False."""
+    size = wg.shape[1]
+    lo = view.reader_starts[cols]
+    count = view.reader_starts[cols + 1] - lo
+    flat = view.readers[_ranges(lo, count)]
+    flat += np.repeat(trans * size, count)
+    mark[flat] = True
+    pairs = np.flatnonzero(mark[:len(X) * size])
+    mark[pairs] = False
+    pair_t, pair_e = np.divmod(pairs, size)
+    # each array is freed once read: the row-wise ones below are the
+    # kernel's largest temporaries
+    del pairs, flat
+    pair_lam = _step_lengths(X, view, pair_t, pair_e)
+    per_t = np.bincount(pair_t, minlength=len(X))
+    count = per_t[row_t]
+    sel = _ranges(_starts(per_t)[row_t], count)
+    del pair_t
+    elems, score = pair_e[sel], pair_lam[sel]
+    del sel, pair_e, pair_lam
+    flat = np.repeat(ids * size, count)
+    flat += elems
+    w = wg.take(flat)
+    np.maximum(w, 0, out=w)
+    score *= w
+    del w
+    flat -= np.repeat((ids - np.arange(len(ids))) * size, count)
+    np.put(scores, flat, score)
+
+
+def _step_lengths(X: np.ndarray, view: Int64View, states: np.ndarray,
+                  elems: np.ndarray) -> np.ndarray:
+    """The longest step lam keeping X[state] + lam*g nonnegative, for each
+    (state, element) pair: the minimum of x_j // -g_j over the element's
+    negative entries g_j."""
+    base = states * X.shape[1]
+    lam = X.take(base + view.neg_cols[0].take(elems)) \
+        // view.neg_mags[0].take(elems)
+    for cols, mags in zip(view.neg_cols[1:], view.neg_mags[1:]):
+        np.minimum(lam, X.take(base + cols.take(elems)) // mags.take(elems),
+                   out=lam)
+    return lam
 
 
 def drive_nonnegative(x0: Sequence[int], basis: GraverBasis) -> tuple:

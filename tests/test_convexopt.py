@@ -136,6 +136,33 @@ def test_the_identity_check_tests_the_batched_oracle(monkeypatch):
         solve_convex_nfold(stencil, 16, weights, rhs, SquaredNormObjective())
 
 
+def test_each_replied_point_is_projected_once(monkeypatch):
+    replies = []
+    batch = convexopt.augment_batch
+
+    def spy(*args):
+        out = batch(*args)
+        replies.extend(out)
+        return out
+
+    projected = []
+    project = ObjectiveWeights.project
+
+    def count(self, x):
+        projected.append(tuple(x))
+        return project(self, x)
+
+    monkeypatch.setattr(convexopt, "augment_batch", spy)
+    monkeypatch.setattr(ObjectiveWeights, "project", count)
+    stencil, rhs, weights, _maxlin = seeded_transport(8, 3, 4031)
+    out = solve_convex_nfold(stencil, 8, weights, rhs, SquaredNormObjective())
+    assert len(replies) == out.stats.identity_checks > 400
+    points = {reply.x for reply in replies}
+    # z0 once, then each distinct replied point once
+    assert len(projected) == 1 + len(points) < len(replies) // 4
+    assert set(projected[1:]) == points
+
+
 def test_no_query_follows_an_unbounded_reply():
     # the probe and the first vertex query answer normally
     lip = _RecordingLip(4, unbounded_from=2)
@@ -382,6 +409,33 @@ def test_transport_outputs_are_pinned():
             outs.append((out.status, out.x, out.z, out.stats))
     assert hashlib.sha256(repr(outs).encode()).hexdigest() == (
         "2e58b66936032279cef725a1eeebcd5644d43b1bd379df4b21a9e25d055007e3")
+
+
+def test_clustering_and_larger_transport_outputs_are_pinned():
+    # beside the pin above: balanced 2-clustering at m = 4..8 (rank-3
+    # zonotope), 2x2x32 at d = 2 and 2x2x16 at d = 3, whose vertex queries
+    # fill several rows of one batch each
+    outs = []
+    cases = []
+    for m in range(4, 9):
+        rng = random.Random(4100 + m)
+        items = [tuple(rng.randint(-2, 2) for _ in range(3))
+                 for _ in range(m)]
+        inst = PartitionInstance.make(2, items, (m // 2, m - m // 2))
+        stencil, rhs, weights, _codec = build_partition(inst)
+        maxlin = MaxLinearObjective(tuple(
+            tuple(rng.randint(-2, 2) for _ in range(weights.d))
+            for _ in range(2)))
+        cases.append((stencil, m, weights, rhs, maxlin))
+    for n, d in ((32, 2), (16, 3)):
+        stencil, rhs, weights, maxlin = seeded_transport(n, d, 4200 + n + d)
+        cases.append((stencil, n, weights, rhs, maxlin))
+    for stencil, n, weights, rhs, maxlin in cases:
+        for objective in (SquaredNormObjective(), maxlin):
+            out = solve_convex_nfold(stencil, n, weights, rhs, objective)
+            outs.append((out.status, out.x, out.z, out.stats))
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == (
+        "ef7a6a1ebb79f54be07073fb792087111f1361333e064c6cc076647a0b3a1edb")
 
 
 def _exact_projection(elements, weights):

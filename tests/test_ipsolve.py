@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -300,6 +301,104 @@ def test_batched_kernel_trips_one_row_while_the_others_step(monkeypatch):
     assert kernels == [(False, None), (True, exact)]
 
 
+def _greedy_paths(x0, basis, wg):
+    """Each row's greedy steps on Python ints, by full rescans: a list of
+    (element, tied) pairs, tied when another element has the same largest
+    score lam*max(w.g, 0) at that point."""
+    paths = []
+    for row in wg.tolist():
+        x, path = list(x0), []
+        while True:
+            scores = []
+            for g, w in zip(basis.elements, row):
+                caps = [x[j] // -a for j, a in enumerate(g) if a < 0]
+                scores.append(min(caps) * w if w > 0 and caps else 0)
+            top = max(scores)
+            if top <= 0:
+                break
+            best = scores.index(top)
+            path.append((best, scores.count(top) > 1))
+            lam = top // row[best]
+            x = [a + lam * b for a, b in zip(x, basis.elements[best])]
+        paths.append(path)
+    return paths
+
+
+def _path_pairs(paths):
+    """(rows sharing a first step, rows that split at a step where one of
+    them had a tie) over the pairs of distinct paths."""
+    shared = split = 0
+    for a, b in itertools.combinations(paths, 2):
+        if a == b:
+            continue
+        p = 0
+        while p < min(len(a), len(b)) and a[p] == b[p]:
+            p += 1
+        shared += p > 0
+        split += p < min(len(a), len(b)) and (a[p][1] or b[p][1])
+    return shared, split
+
+
+def test_shared_state_kernel_matches_the_exact_oracle_row_by_row():
+    # batches on transport fibers whose rows share prefixes (a scaled
+    # copy shares its whole path, a nudged copy a part of it) and split
+    # after ties; every row of both views must match the exact oracle.
+    # The same batches from a start
+    # past the int64 limit, and from one whose first step passes it, send
+    # the int64 view back (None) and augment_batch to the exact view.
+    rng = random.Random(311)
+    seen = {"shared": 0, "split": 0, "start past": 0, "step past": 0}
+    for n in (3, 4, 5, 6):
+        basis = nfold_graver(TRANSPORT_FIBER, n)
+        for _ in range(4):
+            objectives = [tuple(rng.randint(-2, 2) for _ in range(4 * n))
+                          for _ in range(4)]
+            objectives.append(tuple(3 * a for a in objectives[0]))
+            for _ in range(3):
+                w = list(objectives[1])
+                w[rng.randrange(4 * n)] += rng.choice((-1, 1))
+                objectives.append(tuple(w))
+            wg = _wg(basis, objectives)
+            limit = (INT64_BOUND - 1) // int(wg.max(initial=1))
+            for base in (0, limit * 3 // 5, limit + 1):
+                x0 = tuple(base + rng.randint(0, 3) for _ in range(4 * n))
+                values = [dot(w, x0) for w in objectives]
+                want = [augment_scores_exact(x0, basis, row, v)
+                        for row, v in zip(wg.tolist(), values)]
+                outs = ipsolve._augment_rows(
+                    x0, basis, basis.exact_view, wg.astype(object), values)
+                assert outs == want
+                fast = ipsolve._augment_rows(x0, basis, basis.int64_view,
+                                             wg, values)
+                if base == 0:
+                    assert fast == want
+                    shared, split = _path_pairs(_greedy_paths(x0, basis, wg))
+                    seen["shared"] += shared
+                    seen["split"] += split
+                else:
+                    assert fast is None
+                    seen["start past" if base > limit else "step past"] += 1
+                assert ipsolve.augment_batch(x0, basis, wg, values) == want
+    assert min(seen.values()) >= 16, seen
+
+
+def test_batch_shapes_are_checked_before_any_work(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("stepped a batch of the wrong shape")
+
+    monkeypatch.setattr(ipsolve, "_augment_rows", kernel)
+    basis = graver_basis(IntMat(1, 3, ((1, 1, 1),)))
+    wg = _wg(basis, [(1, 0, 0)])
+    empty = graver_basis(IntMat.identity(2))
+    assert len(empty) == 0
+    for x0, b, scores, values in (((3, 0, 0), basis, wg, [0, 5]),
+                                  ((3, 0, 0), basis, wg[:, :-1], [0]),
+                                  ((3, 0, 0), basis, wg[0], [0]),
+                                  ((1, 2), empty, np.zeros((1, 0)), [0, 1])):
+        with pytest.raises(DimensionMismatchError):
+            ipsolve.augment_batch(x0, b, scores, values)
+
+
 def _per_vertex(stencil, n, weights, rhs, objective):
     """solve_convex_nfold with one augment_to_optimum call per vertex."""
     basis = nfold_graver(stencil, n)
@@ -312,11 +411,12 @@ def _per_vertex(stencil, n, weights, rhs, objective):
 def test_batched_vertex_queries_match_the_per_vertex_loop(monkeypatch,
                                                           entries):
     # with entries = 1 a chunk holds 8 queries, so every solve below spans
-    # several chunks; at the default size the d = 3 one still does
+    # several chunks; at the default size the d = 3 one still does (1270
+    # vertices, 728 to a chunk)
     monkeypatch.setattr(convexopt, "CHUNK_ENTRIES", entries)
     chunks = _spy(monkeypatch, convexopt, "augment_batch")
     rng = random.Random(79)
-    for n, d in ((4, 2), (6, 2), (8, 2), (8, 3)):
+    for n, d in ((4, 2), (6, 2), (8, 2), (10, 3)):
         stencil, rhs, weights = _transport_2x2(rng, n, d)
         maxlin = MaxLinearObjective(((1,) * d, (-1,) + (2,) * (d - 1)))
         for objective in (SquaredNormObjective(), maxlin):
@@ -345,26 +445,40 @@ def test_batched_vertex_queries_match_the_per_vertex_loop(monkeypatch,
 def test_chunk_guard_batches_large_certificates_on_python_ints(
         monkeypatch):
     # scaled weights put |c|_1 * max|P| past 2^62 for some certificates
-    # of the solve only: a chunk holding one is batched on Python ints,
-    # the other chunks in int64
+    # of the solve only: those are batched on Python ints, the others in
+    # int64, so a chunk holding both is batched twice
     monkeypatch.setattr(convexopt, "CHUNK_ENTRIES", 1)
     chunks = []
     batch = convexopt.augment_batch
 
     def spy(x0, basis, wg, values):
-        chunks.append(wg.dtype)
+        chunks.append((wg.dtype, len(values)))
         return batch(x0, basis, wg, values)
 
+    verts = []
+    enumerate_vertices = convexopt.zonotope_vertices
+
+    def vertices(*args, **kwargs):
+        verts.append(enumerate_vertices(*args, **kwargs))
+        return verts[-1]
+
     monkeypatch.setattr(convexopt, "augment_batch", spy)
+    monkeypatch.setattr(convexopt, "zonotope_vertices", vertices)
     single = _spy(monkeypatch, convexopt, "augment_to_optimum")
     stencil, rhs, weights = _transport_2x2(random.Random(85), 8, 2)
     scale = 1 << 25
     big = ObjectiveWeights.make([[scale * a for a in row]
                                  for row in weights.rows])
     out = solve_convex_nfold(stencil, 8, big, rhs, SquaredNormObjective())
-    # of 6 chunks, 3 are batched in int64 and 3 on Python ints; only the
-    # probe is a single query
-    assert sorted(map(str, chunks)) == ["int64"] * 3 + ["object"] * 3
+    top = int(np.abs(nfold_graver(stencil, 8).project(big.rows)).max())
+    large = sum(sum(map(abs, v.certificate)) * top >= INT64_BOUND
+                for v in verts[0])
+    # of 6 chunks, the 3 holding large certificates are batched twice;
+    # only the probe is a single query
+    assert sorted(str(dtype) for dtype, _ in chunks) == \
+        ["int64"] * 6 + ["object"] * 3
+    assert sum(rows for dtype, rows in chunks if dtype == object) == \
+        large < len(verts[0]) // 2
     assert len(single) == 1
     assert out == _per_vertex(stencil, 8, big, rhs, SquaredNormObjective())
     small = solve_convex_nfold(stencil, 8, weights, rhs,

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -62,3 +63,23 @@ def test_solving_loads_no_lazy_numpy_submodule_or_other_package():
     # packages loaded by the interpreter's own start-up are not counted
     packages = {m.split(".")[0] for m in new}
     assert packages - set(sys.stdlib_module_names) <= {"gravopt", "numpy"}
+
+
+def test_stage_times_runs_at_toy_size(tmp_path):
+    out = tmp_path / "times.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_times.py"),
+         "t2:4,6", "t3:4", "cluster:4", "threeway:3", "--json", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("| family | size | |G| | vertices |")
+    rows = json.loads(out.read_text())
+    assert [(r["family"], r["size"]) for r in rows] == [
+        ("t2", 4), ("t2", 6), ("t3", 4), ("cluster", 4), ("threeway", 3)]
+    stages = ("basis", "lattice", "phase I", "project", "zonotope",
+              "phase II")
+    for row in rows:
+        assert row["|G|"] > 0 and row["vertices"] > 0
+        assert min(row[s] for s in stages) >= 0
+        assert abs(sum(row[s] for s in stages) + row["loop"]
+                   - row["total"]) < 1e-6
