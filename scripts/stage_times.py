@@ -10,13 +10,16 @@ in gravopt changes:
   phase I   drive_nonnegative
   project   GraverBasis.project (the table P = G.W^T)
   zonotope  zonotope_vertices
-  phase II  augment_batch (every vertex query and the probe)
+  phase II  augment_batch as the driver calls it: every vertex query,
+            with its scores C.P^T and start values
 
 A stage's time is its self time: a wrapped call inside another one is
 counted once, in the inner stage.  "loop" is the total minus the stages:
-the comparison loop, chunking and certificate products.  Times are in
-milliseconds, the median over --repeat solves of each instance, after
-one untimed solve of it.
+the comparison loop, the chunking, the projection of each distinct
+replied point, and the probe.  The probe's single query reaches
+augment_batch inside ipsolve, past the wrapper; its projection counts
+under "project".  Times are in milliseconds, the median over --repeat
+solves of each instance, after one untimed solve of it.
 
 Families (all with the squared-norm objective):
 

@@ -110,16 +110,19 @@ def _read_parsed(path: str, parse=parse_matrix):
 
 
 def _write_atomic(path: str, lines: Iterable[str]) -> None:
+    """An unwritable path is a usage error; the temporary file never stays."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gravopt-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gravopt-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(payload: str | Iterable[str], output) -> None:

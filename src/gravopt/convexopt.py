@@ -18,21 +18,17 @@ distinct nonzero rows of P.
 `solve_convex(A, b, W, c)` runs the pipeline on any A, with one Graver
 basis for phase I, for the directions and for the oracle: graver_basis(A)
 unless the caller passes one, as `solve_convex_nfold` passes the n-fold
-basis.  It asks its vertex queries in chunks and never forms h: for a
-chunk of certificates C the scores h.g = c.(W.g) are the rows of C.P^T,
-and the start values are h.x0 = c.z0, z0 = W.x0 projected once per
-solve.  The certificates c of a chunk with |c|_1 * max|P| < 2^62 are
-batched in int64, and the others, if any, in a second batch on Python
-ints, so one large certificate does not send its whole chunk there.
-`ipsolve.augment_batch` steps a batch at once over shared states and
-reports each value as its start value plus the gains of its steps, so
-the check tests the kernel that answered.  A chunk holds max(8,
-CHUNK_ENTRIES // |G|) queries, so its score array, and the kernel's copy
-of it, stay near CHUNK_ENTRIES entries: one chunk or a few for the
-queries of a 2x2x32 solve.  The replies are compared in vertex order by
-the loop of `convex_maximize`, which lifts h exactly (`lift_normal`) for
-its caller's oracle; a chunk's replies after an unbounded one are
-computed but never counted.
+basis.  It asks its vertex queries in chunks of certificates through
+`ipsolve.augment_batch`, which scores them on P and on z0 = W.x0,
+projected once per solve, and never forms h.  It steps a chunk at once
+over shared states and reports each value as its start value plus the
+gains of its steps, so the check tests the kernel that answered.  A
+chunk holds max(8, CHUNK_ENTRIES // |G|) queries, so its score array,
+and the kernel's copy of it, stay near CHUNK_ENTRIES entries: one chunk
+or a few for the queries of a 2x2x32 solve.  The replies are compared in
+vertex order by the loop of `convex_maximize`, which lifts h exactly
+(`lift_normal`) for its caller's oracle; a chunk's replies after an
+unbounded one are computed but never counted.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .graver import INT64_BOUND, GraverBasis
+from .graver import GraverBasis
 from .intlinalg import IntMat, dot
 from .ipsolve import (INFEASIBLE, UNBOUNDED, _check_objective, augment_batch,
                       augment_to_optimum, find_feasible)
@@ -261,23 +257,11 @@ def _batched_replies(x0: tuple, basis: GraverBasis,
     """augment_to_optimum(x0, basis, h) for each vertex, h its lifted
     certificate, a chunk at a time, without forming h (module docstring)."""
     z0 = weights.project(x0)
-    top = max(int(np.abs(P).max(initial=0)), 1)
     rows = max(8, CHUNK_ENTRIES // max(len(P), 1))
     for start in range(0, len(verts), rows):
-        certs = [v.certificate for v in verts[start:start + rows]]
-        small = [sum(map(abs, c)) * top < INT64_BOUND for c in certs]
-        replies = [None] * len(certs)
-        for dtype, fits in ((np.int64, True), (object, False)):
-            part = [i for i, s in enumerate(small) if s is fits]
-            if not part:
-                continue
-            C = np.array([certs[i] for i in part], dtype=dtype)
-            wg = C @ P.astype(dtype, copy=False).T
-            outs = augment_batch(x0, basis, wg,
-                                 [dot(certs[i], z0) for i in part])
-            for i, out in zip(part, outs):
-                replies[i] = out
-        yield from replies
+        yield from augment_batch(
+            x0, basis, [v.certificate for v in verts[start:start + rows]],
+            P, z0)
 
 
 def solve_convex(A: IntMat, b: Sequence[int], weights: ObjectiveWeights,

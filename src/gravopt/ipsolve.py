@@ -38,16 +38,21 @@ that is kept below 2^62: phase I starts only when max|x0| is within that
 bound, and a step that writes a coordinate past it sends the whole phase
 back to the exact view from x0.
 
-Phase II runs one batched kernel: `augment_to_optimum` gives it one
-objective, and `augment_batch` gives it many that share the start x0, as
-the convex driver's vertex queries do.  The kernel reads no objective,
-only a Q x |G| array of the values w_q.g and the Q start values w_q.x0,
-and steps all Q rows in lockstep, each by the greedy rules above: the
-first nonnegative element with w.g > 0 (canonical order) certifies
-unboundedness, `argmax` takes a row's first largest score
-lam*max(w.g, 0) (the canonical-order tie-break), and lam = score // w.g.
-A row's value is its start value plus the scores of its steps, summed
-on Python ints.
+Phase II runs one batched kernel behind one entry, `augment_batch`:
+many objectives that share the start x0, as the convex driver's vertex
+queries do (`augment_to_optimum` is the batch of one).  It is given
+certificates c, the projection P = G.W^T (`GraverBasis.project`) and
+z0 = W.x0, and never forms the lifted objectives h = c^T W: their scores
+h.g are the rows of C.P^T and their start values are h.x0 = c.z0.  The
+certificates with |c|_1 * max|P| < 2^62 are scored in int64, exactly,
+the others, if any, on Python ints, so one large certificate does not
+send the whole batch there.  The kernel reads only a part's Q x |G|
+array of the values w_q.g and its Q start values, and steps all Q rows
+in lockstep, each by the greedy rules above: the first nonnegative
+element with w.g > 0 (canonical order) certifies unboundedness, `argmax`
+takes a row's first largest score lam*max(w.g, 0) (the canonical-order
+tie-break), and lam = score // w.g.  A row's value is its start value
+plus the scores of its steps, summed on Python ints.
 
 The step length lam(x, g) depends only on the point and the element, so
 the rows step over shared states.  Every row starts at the one state x0,
@@ -60,16 +65,15 @@ mark buffer), and each row's scores are rewritten only there.  Rows that
 finish leave the score block, and live rows from its tail take their
 slots, so compaction never copies the block.
 
-On the int64 view every product stays below 2^62.  The values w.g are
-exact: `GraverBasis.project` computes them for one objective, and a
-batch's caller guards its own.  A call starts only when max(x0) <=
-limit = (2^62 - 1) // max(w.g), the maximum over the whole batch, and no
-step may carry a coordinate past limit; for a positive entry a that is
-checked as lam > (limit - x_j) // a, which cannot overflow.  Every score
-is then lam*w.g <= limit*max(w.g).  When either check fails the whole
-call is re-run on the exact view from x0, as phase I is.  A negative
-entry in x0 sends the call there at once, and its first step raises
-InternalInconsistencyError.
+On the int64 view every product stays below 2^62.  The values w.g of
+the int64 part are exact, by the split above.  A kernel call starts only
+when max(x0) <= limit = (2^62 - 1) // max(w.g), the maximum over the
+whole part, and no step may carry a coordinate past limit; for a
+positive entry a that is checked as lam > (limit - x_j) // a, which
+cannot overflow.  Every score is then lam*w.g <= limit*max(w.g).  When
+either check fails the whole part is re-run on the exact view from x0,
+as phase I is.  A negative entry in x0 sends the call there at once, and
+its first step raises InternalInconsistencyError.
 """
 
 from __future__ import annotations
@@ -128,40 +132,48 @@ def augment_to_optimum(x0: Sequence[int], basis: GraverBasis,
     Each step picks, among improving basis elements, the pair (g, lam)
     maximizing lam*(w.g), ties broken by canonical basis order; a
     nonnegative improving element is returned as an unboundedness
-    certificate instead.  The values w.g come from `GraverBasis.project`,
-    and the batch of one runs as `augment_batch` runs it.
-    """
-    if len(w) != len(x0):
-        raise DimensionMismatchError("objective length != point length")
-    _check_point(x0, basis)
-    return augment_batch(x0, basis, basis.project((w,)).T, (dot(w, x0),))[0]
-
-
-def augment_batch(x0: Sequence[int], basis: GraverBasis, wg: np.ndarray,
-                  values: Sequence[int]) -> list:
-    """`augment_to_optimum(x0, basis, w_q)` for every row q of wg.
-
-    Row q of wg holds w_q.g for every basis element g, in canonical
-    order, and values[q] = w_q.x0; the caller computes both exactly, wg
-    in int64 or on Python ints (dtype object).  An int64 wg steps on the
-    int64 view, and the whole call is re-run on the exact view when the
-    guard trips (module docstring).
+    certificate instead.  It runs as `augment_batch`'s batch of one: the
+    certificate (1,) over the projection onto w, which checks len(w).
     """
     _check_point(x0, basis)
-    if wg.shape != (len(values), len(basis)):
+    return augment_batch(x0, basis, ((1,),), basis.project((w,)),
+                         (dot(w, x0),))[0]
+
+
+def augment_batch(x0: Sequence[int], basis: GraverBasis,
+                  certificates: Sequence[Sequence[int]], P: np.ndarray,
+                  z0: Sequence[int]) -> list:
+    """`augment_to_optimum(x0, basis, h)` for the lifted objective
+    h = c^T W of each certificate c, given P = G.W^T, in int64 or on
+    Python ints, and z0 = W.x0, split by the guard (module docstring)."""
+    _check_point(x0, basis)
+    d = len(z0)
+    if P.shape != (len(basis), d):
         raise DimensionMismatchError(
-            f"scores of shape {wg.shape} for {len(values)} start values "
-            f"and a basis of {len(basis)} elements")
+            f"projection of shape {P.shape}, basis of {len(basis)}, d = {d}")
+    if any(len(c) != d for c in certificates):
+        raise DimensionMismatchError(f"a certificate's length is not d = {d}")
+    values = [dot(c, z0) for c in certificates]
     if not len(basis):
         return [SolveOutcome.optimal(x0, v) for v in values]
+    top = max(int(np.abs(P).max(initial=0)), 1)
+    small = [sum(map(abs, c)) * top < INT64_BOUND for c in certificates]
     view = basis.int64_view
-    outs = None
-    if wg.dtype != object and view is not None and min(x0) >= 0:
-        outs = _augment_rows(x0, basis, view, wg, values)
-    if outs is None:
-        outs = _augment_rows(x0, basis, basis.exact_view,
-                             wg.astype(object, copy=False), values)
-    return outs
+    outs: dict = {}
+    for dtype, fits in ((np.int64, True), (object, False)):
+        part = [q for q, s in enumerate(small) if s is fits]
+        if not part:
+            continue
+        C = np.array([certificates[q] for q in part], dtype=dtype)
+        wg = C @ P.astype(dtype, copy=False).T
+        start = [values[q] for q in part]
+        rows = (_augment_rows(x0, basis, view, wg, start)
+                if fits and view is not None and min(x0) >= 0 else None)
+        if rows is None:
+            rows = _augment_rows(x0, basis, basis.exact_view,
+                                 wg.astype(object, copy=False), start)
+        outs.update(zip(part, rows))
+    return [outs[q] for q in range(len(certificates))]
 
 
 def _check_point(x0: Sequence[int], basis: GraverBasis) -> None:

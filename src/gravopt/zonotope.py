@@ -39,7 +39,7 @@ from .graver import INT64_BOUND
 from .intlinalg import IntMat, _column_echelon
 
 # never called: bound only because perfbench/spans.py wraps this name; it
-# goes when a benchmark change drops the `ratlp.probe` row (ROADMAP item 1)
+# goes with the `ratlp.probe` row in a benchmark change (ROADMAP items 4, 7)
 find_interior_direction = None
 
 # about this many (normal, generator) pairs per chunk of a facet scan

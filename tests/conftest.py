@@ -179,10 +179,11 @@ def augment_exact(x0, basis: GraverBasis, w) -> SolveOutcome:
 
 def augment_scores_exact(x0, basis: GraverBasis, scores,
                          value) -> SolveOutcome:
-    """`augment_exact` from what `ipsolve.augment_batch` is given of an
-    objective w: the values w.g of the basis elements in canonical order
-    and the start value w.x0.  The value of an optimal outcome is the
-    start value plus the gain of every step."""
+    """`augment_exact` from what the phase-II kernel
+    (`ipsolve._augment_rows`) is given of an objective w: the values w.g
+    of the basis elements in canonical order and the start value w.x0.
+    The value of an optimal outcome is the start value plus the gain of
+    every step."""
     x = list(x0)
     supps, wgs, negs = [], [], []
     for g, supp, wg in zip(basis.elements, basis_supports(basis), scores):

@@ -564,6 +564,30 @@ def test_output_file_is_written_atomically(files, tmp_path, capsys):
     assert not leftovers
 
 
+def test_an_unwritable_output_is_a_usage_error(files, tmp_path, capsys):
+    # a missing directory fails at the temporary file, a directory at the
+    # rename; either way the path is named and no temporary file stays
+    mat = files("a.mat", "1 3\n1 2 1\n")
+    (tmp_path / "sub").mkdir()
+    for target in (tmp_path / "no" / "basis.mat", tmp_path / "sub"):
+        assert dispatch(["graver", mat, "--output", str(target)]) == \
+            EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"usage error: cannot write {target}: " in captured.err
+        assert captured.out == ""
+    stencil = files("st.txt", "1 0 2\n1 2\n1 1\n0 2\n")
+    rhs = files("rhs.txt", "1 0 1\n3\n")
+    obj = files("obj.mat", "1 2\n2 1\n")
+    for target in (tmp_path / "no" / "x.mat", tmp_path / "sub"):
+        assert dispatch(["solve-ip", "--stencil", stencil, "--n", "1",
+                         "--rhs", rhs, "--obj", obj,
+                         "--solution", str(target)]) == EXIT_USAGE
+        assert f"cannot write {target}: " in capsys.readouterr().err
+    assert not list(tmp_path.rglob(".gravopt-*"))
+    assert not (tmp_path / "no").exists()
+    assert not list((tmp_path / "sub").iterdir())
+
+
 def test_round_trip_solution_files(files, tmp_path, capsys):
     stencil = files("st.txt", "1 0 2\n1 2\n1 1\n0 2\n")
     rhs = files("rhs.txt", "1 0 1\n3\n")

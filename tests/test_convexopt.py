@@ -125,12 +125,12 @@ def test_the_identity_check_reads_the_value_a_user_oracle_reports():
 def test_the_identity_check_tests_the_batched_oracle(monkeypatch):
     # one more on every positive score: each step's gain overstates
     # lam*(w.g) by lam, so the value the kernel reports misses c.(W.x)
-    batch = convexopt.augment_batch
+    kernel = ipsolve._augment_rows
 
-    def skewed(x0, basis, wg, values):
-        return batch(x0, basis, wg + (wg > 0), values)
+    def skewed(x0, basis, view, wg, values):
+        return kernel(x0, basis, view, wg + (wg > 0), values)
 
-    monkeypatch.setattr(convexopt, "augment_batch", skewed)
+    monkeypatch.setattr(ipsolve, "_augment_rows", skewed)
     stencil, rhs, weights, _maxlin = seeded_transport(16, 2, 4018)
     with pytest.raises(InternalInconsistencyError):
         solve_convex_nfold(stencil, 16, weights, rhs, SquaredNormObjective())

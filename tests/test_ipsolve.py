@@ -54,8 +54,8 @@ def test_augmentation_rejects_a_point_of_the_wrong_length(monkeypatch):
             augment_to_optimum(x0, basis, w)
         with pytest.raises(DimensionMismatchError,
                            match=f"point of length {len(x0)}, basis has 2"):
-            ipsolve.augment_batch(x0, basis, np.ones((1, 2), dtype=np.int64),
-                                  [0])
+            ipsolve.augment_batch(x0, basis, [(1,)],
+                                  np.ones((2, 1), dtype=np.int64), (0,))
 
 
 def test_augmentation_on_line_segment():
@@ -217,9 +217,10 @@ def test_int64_and_exact_paths_agree_on_every_vertex_query(monkeypatch):
     calls = []
     batch = convexopt.augment_batch
 
-    def both(x0, basis, wg, values):
-        replies = batch(x0, basis, wg, values)
-        for row, value, reply in zip(wg.tolist(), values, replies):
+    def both(x0, basis, certificates, P, z0):
+        replies = batch(x0, basis, certificates, P, z0)
+        for c, reply in zip(certificates, replies):
+            row, value = [dot(c, p) for p in P.tolist()], dot(c, z0)
             calls.append(value)
             assert reply == augment_scores_exact(x0, basis, row, value), \
                 (x0, row, value)
@@ -244,6 +245,16 @@ def _wg(basis, objectives):
                     dtype=np.int64)
 
 
+def _batch(x0, basis, objectives):
+    """`augment_batch`'s (certificates, P, z0) for the objectives: one
+    identity certificate per objective over P = basis.project(objectives),
+    so certificate q scores w_q.g and starts at w_q.x0."""
+    q = len(objectives)
+    certificates = [tuple(int(i == j) for j in range(q)) for i in range(q)]
+    return (certificates, basis.project(objectives),
+            tuple(dot(w, x0) for w in objectives))
+
+
 def test_batched_kernel_matches_the_exact_loop_row_by_row():
     # random systems with several objectives per call: unbounded rows,
     # rows with max w.g <= 0 (x0 is optimal), and bases with an element
@@ -263,7 +274,8 @@ def test_batched_kernel_matches_the_exact_loop_row_by_row():
         objectives.append((0,) * basis.n)
         wg, values = _wg(basis, objectives), [dot(w, x0) for w in objectives]
         outs = ipsolve._augment_rows(x0, basis, view, wg, values)
-        assert outs == ipsolve.augment_batch(x0, basis, wg, values)
+        assert outs == ipsolve.augment_batch(x0, basis,
+                                             *_batch(x0, basis, objectives))
         assert outs == ipsolve._augment_rows(
             x0, basis, basis.exact_view, wg.astype(object), values)
         for w, row, out in zip(objectives, wg, outs):
@@ -296,7 +308,8 @@ def test_batched_kernel_trips_one_row_while_the_others_step(monkeypatch):
     assert exact[0] == SolveOutcome.optimal((2 * k, 0, 3, 1, 4, 2), 2 * k)
     assert [out.x[2:].count(0) for out in exact[1:4]] == [2, 2, 0]
     kernels = _kernel_spy(monkeypatch, "_augment_rows")
-    assert ipsolve.augment_batch(x0, basis, wg, values) == exact
+    assert ipsolve.augment_batch(
+        x0, basis, *_batch(x0, basis, objectives)) == exact
     # the tripped call is re-run whole, all five rows, on the exact view
     assert kernels == [(False, None), (True, exact)]
 
@@ -378,8 +391,41 @@ def test_shared_state_kernel_matches_the_exact_oracle_row_by_row():
                 else:
                     assert fast is None
                     seen["start past" if base > limit else "step past"] += 1
-                assert ipsolve.augment_batch(x0, basis, wg, values) == want
+                assert ipsolve.augment_batch(
+                    x0, basis, *_batch(x0, basis, objectives)) == want
     assert min(seen.values()) >= 16, seen
+
+
+def test_one_batch_straddles_the_guard(monkeypatch):
+    # certificates on both sides of |c|_1 * max|P| < 2^62 in one call:
+    # the small ones step in int64 and the large ones on Python ints, and
+    # each row answers as the exact oracle does for h = c^T W
+    kernels = _kernel_spy(monkeypatch, "_augment_rows")
+    basis = nfold_graver(TRANSPORT_FIBER, 4)
+    rng = random.Random(29)
+    W = [tuple(rng.randint(-3, 3) for _ in range(basis.n)) for _ in range(2)]
+    P = basis.project(W)
+    x0 = tuple(rng.randint(0, 3) for _ in range(basis.n))
+    z0 = tuple(dot(w, x0) for w in W)
+    certificates = [(1, 0), (2 ** 62, 1), (2, -1), (3, -(2 ** 70)),
+                    (-3, 5), (2 ** 61, 2 ** 61), (0, 0)]
+    small = [0, 2, 4, 6]
+    outs = ipsolve.augment_batch(x0, basis, certificates, P, z0)
+    for c, out in zip(certificates, outs):
+        h = tuple(c[0] * a + c[1] * b for a, b in zip(*W))
+        assert out == augment_exact(x0, basis, h), c
+    assert kernels == [(False, [outs[q] for q in small]),
+                       (True, [outs[q] for q in range(7) if q not in small])]
+    assert sum(out.x != x0 for out in outs) >= 4
+    # the bound itself, from a start where no step is possible
+    edge = (INT64_BOUND - 1) // int(np.abs(P).max())
+    kernels.clear()
+    zero = (0,) * basis.n
+    outs = ipsolve.augment_batch(zero, basis,
+                                 [(edge, 0), (edge + 1, 0), (0, -edge)],
+                                 P, (0, 0))
+    assert outs == [SolveOutcome.optimal(zero, 0)] * 3
+    assert kernels == [(False, [outs[0], outs[2]]), (True, [outs[1]])]
 
 
 def test_batch_shapes_are_checked_before_any_work(monkeypatch):
@@ -388,15 +434,18 @@ def test_batch_shapes_are_checked_before_any_work(monkeypatch):
 
     monkeypatch.setattr(ipsolve, "_augment_rows", kernel)
     basis = graver_basis(IntMat(1, 3, ((1, 1, 1),)))
-    wg = _wg(basis, [(1, 0, 0)])
+    x0 = (3, 0, 0)
+    certs, P, z0 = _batch(x0, basis, [(1, 0, 0), (0, 1, 0)])
     empty = graver_basis(IntMat.identity(2))
     assert len(empty) == 0
-    for x0, b, scores, values in (((3, 0, 0), basis, wg, [0, 5]),
-                                  ((3, 0, 0), basis, wg[:, :-1], [0]),
-                                  ((3, 0, 0), basis, wg[0], [0]),
-                                  ((1, 2), empty, np.zeros((1, 0)), [0, 1])):
+    for x0, b, certs, P, z0 in (
+            (x0, basis, [(1, 0), (0, 1, 0)], P, z0),  # a certificate
+            (x0, basis, certs, P[:-1], z0),  # a row of P
+            (x0, basis, certs, P[:, 0], z0),  # P is not a table
+            (x0, basis, certs, P, z0[:1]),  # z0 of length 1 for d = 2
+            ((1, 2), empty, [(1, 0)], np.zeros((0, 1)), (0,))):
         with pytest.raises(DimensionMismatchError):
-            ipsolve.augment_batch(x0, b, scores, values)
+            ipsolve.augment_batch(x0, b, certs, P, z0)
 
 
 def _per_vertex(stencil, n, weights, rhs, objective):
@@ -407,7 +456,8 @@ def _per_vertex(stencil, n, weights, rhs, objective):
         lambda w: augment_to_optimum(x0, basis, w), weights, basis, objective)
 
 
-@pytest.mark.parametrize("entries", [1, convexopt.CHUNK_ENTRIES])
+@pytest.mark.parametrize("entries", [1, convexopt.CHUNK_ENTRIES],
+                         ids=["one-entry", "default"])
 def test_batched_vertex_queries_match_the_per_vertex_loop(monkeypatch,
                                                           entries):
     # with entries = 1 a chunk holds 8 queries, so every solve below spans
@@ -449,11 +499,17 @@ def test_chunk_guard_batches_large_certificates_on_python_ints(
     # int64, so a chunk holding both is batched twice
     monkeypatch.setattr(convexopt, "CHUNK_ENTRIES", 1)
     chunks = []
-    batch = convexopt.augment_batch
+    kernel = ipsolve._augment_rows
 
-    def spy(x0, basis, wg, values):
-        chunks.append((wg.dtype, len(values)))
-        return batch(x0, basis, wg, values)
+    def spy(x0, basis, view, wg, values):
+        out = kernel(x0, basis, view, wg, values)
+        # a call after a tripped one re-runs its batch on the exact view
+        if chunks and chunks[-1][2]:
+            assert wg.dtype == object and len(values) == chunks[-1][1]
+            chunks[-1] = (chunks[-1][0], len(values), False)
+        else:
+            chunks.append((wg.dtype, len(values), out is None))
+        return out
 
     verts = []
     enumerate_vertices = convexopt.zonotope_vertices
@@ -462,7 +518,7 @@ def test_chunk_guard_batches_large_certificates_on_python_ints(
         verts.append(enumerate_vertices(*args, **kwargs))
         return verts[-1]
 
-    monkeypatch.setattr(convexopt, "augment_batch", spy)
+    monkeypatch.setattr(ipsolve, "_augment_rows", spy)
     monkeypatch.setattr(convexopt, "zonotope_vertices", vertices)
     single = _spy(monkeypatch, convexopt, "augment_to_optimum")
     stencil, rhs, weights = _transport_2x2(random.Random(85), 8, 2)
@@ -474,10 +530,10 @@ def test_chunk_guard_batches_large_certificates_on_python_ints(
     large = sum(sum(map(abs, v.certificate)) * top >= INT64_BOUND
                 for v in verts[0])
     # of 6 chunks, the 3 holding large certificates are batched twice;
-    # only the probe is a single query
-    assert sorted(str(dtype) for dtype, _ in chunks) == \
-        ["int64"] * 6 + ["object"] * 3
-    assert sum(rows for dtype, rows in chunks if dtype == object) == \
+    # only the probe, also stepped in int64, is a single query
+    assert sorted(str(dtype) for dtype, _, _ in chunks) == \
+        ["int64"] * 7 + ["object"] * 3
+    assert sum(rows for dtype, rows, _ in chunks if dtype == object) == \
         large < len(verts[0]) // 2
     assert len(single) == 1
     assert out == _per_vertex(stencil, 8, big, rhs, SquaredNormObjective())
@@ -596,8 +652,10 @@ def test_int64_guards_fall_back_to_the_exact_loop(monkeypatch):
     assert out.x == (top, 0) and out.value == top
     assert kernels == [(False, [out])]
     # an entry of x0 past the bound, then a weight past 2^62 / max |g|_1
+    # (2^61 * max|g|_1 sends the projection to Python ints, but w.g =
+    # +-2^61 passes the batch guard, so the int64 view is tried first)
     for x0, w, first in (((0, INT64_BOUND), (1, 0), [(False, None)]),
-                         ((0, 3), (INT64_BOUND // 2, 0), [])):
+                         ((0, 3), (INT64_BOUND // 2, 0), [(False, None)])):
         kernels.clear()
         out = augment_to_optimum(x0, segment, w)
         assert out.x == (x0[1], 0) and out.value == x0[1] * w[0]
