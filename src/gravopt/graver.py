@@ -15,10 +15,10 @@ layer 0; a lifted n-fold basis places the stencil-width bricks of its
 level-g elements into every choice of layers.  The dense vectors are
 built only when asked for.
 
-A basis also carries two array views of itself, built when first asked
-for: `GraverBasis.int64_view`, whose values are int64 and bounded, and
-`GraverBasis.exact_view`, whose values are Python ints.  One builder,
-`_view`, makes both from the basis's nonzero entries as (element,
+A basis also carries two read-only array views of itself, built when
+first asked for: `GraverBasis.int64_view`, whose values are int64 and
+bounded, and `GraverBasis.exact_view`, whose values are Python ints.
+One builder, `_view`, makes both from the nonzero entries as (element,
 column, value) arrays, which `GraverBasis._triples` reads off the
 distinct bricks with numpy, a block of bricks at a time, and repeats
 for every placement.  The augmentation kernels and the projection
@@ -129,7 +129,7 @@ def _view(triples: Optional[tuple], size: int,
     neg_counts = np.bincount(neg_elem, minlength=size)
     meet_starts, meets = _grouped(cols, elem, n)
     reader_starts, readers = _grouped(neg_cols, neg_elem, n)
-    return Int64View(
+    view = Int64View(
         cols=cols, vals=vals, starts=starts,
         supp_cols=_padded(elem, counts, cols, n),
         supp_vals=_padded(elem, counts, vals, 1),
@@ -139,6 +139,9 @@ def _view(triples: Optional[tuple], size: int,
         reader_starts=reader_starts, readers=readers,
         nonneg=np.flatnonzero(neg_counts == 0),
         max_l1=max_l1)
+    for array in view[:-1]:  # bases, and so their views, are shared
+        array.flags.writeable = False
+    return view
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:

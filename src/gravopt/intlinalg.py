@@ -5,12 +5,17 @@ matrices are immutable dense row-major wrappers.  Everything downstream
 runs on these, so exactness here is non-negotiable.  The column echelon
 form behind rank, kernel lattices and integer solves works on sparse
 columns: an n-fold matrix has a few nonzeros per column, and its
-transform stays almost as sparse.
+transform stays almost as sparse.  The form read by kernel lattices and
+integer solves is kept per process, read-only, for the _CACHE_SIZE most
+recently used matrices, so a repeat solve on one matrix only
+back-substitutes b.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, UsageError
@@ -151,6 +156,20 @@ def _column_echelon(A: IntMat):
     return [E[j] for j in order], [U[j] for j in order], pivots
 
 
+# entries of each per-process cache, here and in nfold: one stencil needs
+# three completed bases, one lift, one complexity and a few echelon forms
+_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _echelon(A: IntMat) -> tuple:
+    """`_column_echelon(A)`, kept per process and read-only: tuples of
+    read-only columns, and a tuple of pivots."""
+    E, U, pivots = _column_echelon(A)
+    return (tuple(map(MappingProxyType, E)), tuple(map(MappingProxyType, U)),
+            tuple(pivots))
+
+
 def rank(A: IntMat) -> int:
     return len(_column_echelon(A)[2])
 
@@ -162,7 +181,7 @@ def lattice_kernel_basis(A: IntMat) -> list:
     so they generate the full kernel lattice (not merely a finite-index
     sublattice); the count equals n - rank(A).
     """
-    _, U, pivots = _column_echelon(A)
+    _, U, pivots = _echelon(A)
     n = A.cols
     out = []
     for col in U[len(pivots):]:
@@ -181,7 +200,7 @@ def solve_integer(A: IntMat, b: Sequence[int]) -> Optional[IntVec]:
     if len(b) != A.rows:
         raise DimensionMismatchError(
             f"matrix has {A.rows} rows, rhs has length {len(b)}")
-    E, U, pivots = _column_echelon(A)
+    E, U, pivots = _echelon(A)
     residual = list(b)
     coeffs = []
     for r, j in pivots:

@@ -10,6 +10,11 @@ brick, into every increasing choice of layers.  The lifted basis is a
 bricks, layer positions) as every basis is: its order, length,
 canonical half, views and printed rows are read from the pairs, and the
 dense n*t-long vectors are built only when `elements` is asked for.
+
+Kept per process, up to `_CACHE_SIZE` of each: completed bases per
+(matrix, basis_cap), complexities per (stencil, config) and lifted bases
+per (stencil, g, n, basis_cap), so a repeat solve on one stencil and n
+lifts nothing and builds the basis's views once.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DimensionMismatchError, ResourceLimitError
 from .graver import GraverBasis, graver_basis
-from .intlinalg import IntMat, IntVec, mat_vec
+from .intlinalg import _CACHE_SIZE, IntMat, IntVec, mat_vec
 
 
 @dataclass(frozen=True)
@@ -121,11 +126,6 @@ def nproduct(A: IntMat, n: int) -> IntMat:
     return nfold_matrix(NFoldStencil(IntMat.identity(A.cols), A), n)
 
 
-# bases and complexities kept per process; one stencil needs at most
-# three bases (A2, the outer matrix, the level-g matrix) and one complexity
-_CACHE_SIZE = 64
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_graver(A: IntMat, basis_cap: int) -> GraverBasis:
     cfg = RunConfig(basis_cap=basis_cap)
@@ -154,8 +154,9 @@ def graver_complexity(stencil: NFoldStencil,
     return max(sum(abs(a) for a in g) for g in outer.elements)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _lift_basis(stencil: NFoldStencil, g: int, n: int,
-                config: RunConfig) -> GraverBasis:
+                basis_cap: int) -> GraverBasis:
     """Place the nonzero bricks of every element of the level-g basis into
     every increasing choice of n layers.  Level-g elements with the same
     nonzero bricks place alike, so each bricks tuple is placed once, and
@@ -165,13 +166,13 @@ def _lift_basis(stencil: NFoldStencil, g: int, n: int,
     Canonical (lexicographic) order is the order of the sparse keys:
     (1, -c, a) for a > 0 and (-1, c, a) for a < 0 at column c, then (0,)."""
     t = stencil.t
-    base = _cached_graver(nfold_matrix(stencil, g), config.basis_cap)
+    base = _cached_graver(nfold_matrix(stencil, g), basis_cap)
     shapes = dict.fromkeys(tuple(b for b in split_layers(e, g, t) if any(b))
                            for e in base.elements)
     size = sum(math.comb(n, len(b)) for b in shapes)
-    if size > config.basis_cap:
+    if size > basis_cap:
         raise ResourceLimitError(
-            f"lifted basis of {size} elements exceeds cap {config.basis_cap}")
+            f"lifted basis of {size} elements exceeds cap {basis_cap}")
 
     @functools.lru_cache(maxsize=None)
     def keys(brick: tuple, pos: int) -> tuple:
@@ -196,10 +197,13 @@ def nfold_graver(stencil: NFoldStencil, n: int,
     """Graver basis of nfold_matrix(stencil, n).
 
     Direct completion for few layers and up to the stencil's Graver
-    complexity g, lifting from level g beyond that.
+    complexity g, lifting from level g beyond that.  The basis is shared
+    through the module's caches and immutable: asking it for `elements`,
+    `==` or `hash` builds its dense vectors, which then live as long as
+    its cache entry.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n <= _DIRECT_LAYERS or n <= (g := graver_complexity(stencil, config)):
         return _cached_graver(nfold_matrix(stencil, n), config.basis_cap)
-    return _lift_basis(stencil, g, n, config)
+    return _lift_basis(stencil, g, n, config.basis_cap)

@@ -7,8 +7,9 @@ import math
 import random
 
 import numpy as np
+import pytest
 
-from gravopt import graver, nfold
+from gravopt import graver, intlinalg, nfold
 from gravopt.apps import build_threeway
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
 from gravopt.config import DEFAULT_CONFIG
@@ -39,6 +40,21 @@ STABILIZATION_STENCILS = (
 # bricks: at n = 7, 1008 placements give 476 distinct elements
 SPARSE_LEVEL_3 = NFoldStencil(IntMat(1, 3, ((1, 1, 1),)),
                               IntMat(1, 3, ((1, 0, -1),)))
+
+
+@pytest.fixture
+def fresh_caches():
+    """The per-process caches of per-matrix products (completed and lifted
+    bases, complexities, echelon forms), emptied before and after the
+    test: its bases are built afresh, and what it builds on them (say,
+    `elements`) does not reach a later test."""
+    caches = (nfold._cached_graver, nfold.graver_complexity,
+              nfold._lift_basis, intlinalg._echelon)
+    for cache in caches:
+        cache.cache_clear()
+    yield caches
+    for cache in caches:
+        cache.cache_clear()
 
 
 # -- vector and matrix helpers only the tests use ---------------------------
@@ -489,7 +505,7 @@ def lifted_basis(stencil, n):
     Graver complexity, for any n >= g: `nfold_graver` itself lifts only
     beyond max(g, 6) layers."""
     g = nfold.graver_complexity(stencil)
-    return nfold._lift_basis(stencil, g, n, DEFAULT_CONFIG)
+    return nfold._lift_basis(stencil, g, n, DEFAULT_CONFIG.basis_cap)
 
 
 def dense_lift(stencil, n) -> tuple:

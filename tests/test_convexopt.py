@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (enumerate_nfold, hull_edges_2d, random_matrix,
                       seeded_transport)
-from gravopt import convexopt, ipsolve
+from gravopt import convexopt, intlinalg, ipsolve
 from gravopt.apps import PartitionInstance, build_partition, build_threeway
 from gravopt.bruteforce import EnumBudget, brute_convex_max, enumerate_feasible
 from gravopt.convexopt import (INFEASIBLE_OUTCOME, OPTIMAL_OUTCOME,
@@ -365,6 +365,24 @@ def test_plain_path_builds_the_basis_only_after_a_lattice_point(
     out = solve_convex(IntMat(1, 2, ((2, 4),)), (3,), W_AXES,
                        SquaredNormObjective())
     assert out.status == INFEASIBLE_OUTCOME
+
+
+def test_a_plain_solve_computes_one_echelon_form(monkeypatch, fresh_caches):
+    # phase I's lattice point and the basis's kernel lattice read one
+    # echelon form of A
+    seen = []
+    echelon = intlinalg._column_echelon
+
+    def recording(M):
+        seen.append(M)
+        return echelon(M)
+
+    monkeypatch.setattr(intlinalg, "_column_echelon", recording)
+    A = IntMat(2, 4, ((1, 1, 1, 1), (1, -1, 2, 0)))
+    weights = ObjectiveWeights.make([(1, 0, 0, 0), (0, 1, 0, 0)])
+    out = solve_convex(A, (4, 2), weights, SquaredNormObjective())
+    assert out.status == OPTIMAL_OUTCOME and mat_vec(A, out.x) == (4, 2)
+    assert seen == [A]
 
 
 def test_the_nfold_wrapper_adds_nothing():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_column_echelon, densify_echelon, transpose,
-                      vec_add, vec_scale, vstack)
+from conftest import (dense_column_echelon, densify_echelon, random_matrix,
+                      transpose, vec_add, vec_scale, vstack)
+from gravopt import intlinalg
 from gravopt.errors import DimensionMismatchError
 from gravopt.intlinalg import (IntMat, _column_echelon, dot, format_matrix,
                                lattice_kernel_basis, mat_vec, parse_matrix,
@@ -118,6 +119,37 @@ def test_solve_integer_exhaustive_cross_check():
                 assert mat_vec(A, cand) != b
         else:
             assert mat_vec(A, x) == b
+
+
+def test_cached_echelon_answers_as_a_fresh_one(fresh_caches):
+    # solves and kernels read one cached form per matrix: whichever asks
+    # first, every answer equals the one computed with the cache cleared
+    def fresh(f, *args):
+        intlinalg._echelon.cache_clear()
+        return f(*args)
+
+    rng = random.Random(3131)
+    for _ in range(300):
+        A = random_matrix(rng)
+        rhs = [mat_vec(A, [rng.randint(-3, 3) for _ in range(A.cols)])
+               for _ in range(2)]
+        rhs += [tuple(rng.randint(-4, 4) for _ in range(A.rows))
+                for _ in range(2)]
+        kernel = fresh(lattice_kernel_basis, A)
+        solutions = [fresh(solve_integer, A, b) for b in rhs]
+        for kernel_first in (True, False):
+            intlinalg._echelon.cache_clear()
+            if kernel_first:
+                assert lattice_kernel_basis(A) == kernel
+            assert [solve_integer(A, b) for b in rhs] == solutions
+            assert lattice_kernel_basis(A) == kernel
+        assert intlinalg._echelon.cache_info().currsize == 1
+        # the cached form cannot be written to
+        _, U, pivots = intlinalg._echelon(A)
+        with pytest.raises(TypeError):
+            U[0][0] = 1
+        with pytest.raises(TypeError):
+            pivots[0] = (0, 0)
 
 
 @settings(max_examples=100, deadline=None)

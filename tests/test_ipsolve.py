@@ -7,7 +7,7 @@ import pytest
 from conftest import (TRANSPORT_2x2, augment_exact, augment_scores_exact,
                       dense_basis, drive_exact, format_stencil,
                       random_matrix, seeded_transport)
-from gravopt import cli, convexopt, graver, ipsolve
+from gravopt import cli, convexopt, graver, intlinalg, ipsolve, nfold
 from gravopt.apps import build_threeway
 from gravopt.bruteforce import EnumBudget, enumerate_feasible
 from gravopt.convexopt import (UNBOUNDED_POLYHEDRON, MaxLinearObjective,
@@ -678,7 +678,8 @@ def test_int64_guards_fall_back_to_the_exact_loop(monkeypatch):
     assert kernels == [(True, None)]
 
 
-def test_solve_paths_never_build_the_lifted_elements(monkeypatch, tmp_path):
+def test_solve_paths_never_build_the_lifted_elements(monkeypatch, tmp_path,
+                                                     fresh_caches):
     bases = _spy(monkeypatch, convexopt, "nfold_graver")
     stencil, rhs, weights, _ = seeded_transport(32, 2, 4032)
     out = solve_convex_nfold(stencil, 32, weights, rhs, SquaredNormObjective())
@@ -691,13 +692,20 @@ def test_solve_paths_never_build_the_lifted_elements(monkeypatch, tmp_path):
     printed = _spy(monkeypatch, cli, "nfold_graver")
     path = tmp_path / "st.txt"
     path.write_text(format_stencil(TRANSPORT_2x2))
-    assert cli.dispatch(["nfold-graver", "--stencil", str(path), "--n", "32",
-                         "--output", str(tmp_path / "out.txt")]) == 0
-    basis, = printed
+    # the command prints the cached basis, twice, and a second solve
+    # reuses it: none of them builds the dense elements
+    for _ in range(2):
+        assert cli.dispatch(["nfold-graver", "--stencil", str(path), "--n",
+                             "32", "--output", str(tmp_path / "out.txt")]) == 0
+    assert printed == [basis, basis] and printed[0] is basis
     assert len(basis) == 992 and "elements" not in basis.__dict__
+    stencil, rhs, weights, _ = seeded_transport(32, 2, 4033)
+    solve_convex_nfold(stencil, 32, weights, rhs, SquaredNormObjective())
+    assert bases[1] is basis and "elements" not in basis.__dict__
 
 
-def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
+def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path,
+                                            fresh_caches):
     builds = _spy(monkeypatch, graver, "_view")
     bases = _spy(monkeypatch, convexopt, "nfold_graver")
     stencil, rhs, weights = _transport_2x2(random.Random(5), 8, 2)
@@ -707,6 +715,17 @@ def test_int64_view_is_built_once_per_basis(monkeypatch, tmp_path):
     assert basis.__dict__["int64_view"] is builds[0]
     # every guard held, so the exact view was never built
     assert "exact_view" not in basis.__dict__
+    # the view of the shared basis cannot be written to
+    assert not any(a.flags.writeable for a in basis.int64_view[:-1])
+    # a second instance on the same stencil and n shares the basis: it
+    # lifts nothing, builds no view and computes no echelon form
+    lifts = nfold._lift_basis.cache_info().misses
+    echelons = _spy(monkeypatch, intlinalg, "_column_echelon")
+    stencil, rhs, weights = _transport_2x2(random.Random(6), 8, 2)
+    out = solve_convex_nfold(stencil, 8, weights, rhs, SquaredNormObjective())
+    assert out.is_optimal and bases[1] is basis
+    assert len(builds) == 1 and not echelons
+    assert nfold._lift_basis.cache_info().misses == lifts
     # equality and hashing ignore the view
     bare = dense_basis(basis.elements, basis.source)
     assert bare == basis and hash(bare) == hash(basis)

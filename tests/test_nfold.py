@@ -7,12 +7,12 @@ from conftest import (SPARSE_LEVEL_3, STABILIZATION_STENCILS, TRANSPORT_2x2,
                       brute_force_graver, dense_basis, dense_lift,
                       lifted_basis, vstack)
 from test_graver import _assert_same_view
-from gravopt import nfold
+from gravopt import intlinalg, nfold
 from gravopt.config import RunConfig
 from gravopt.errors import ResourceLimitError
 from gravopt.cli import format_placements
 from gravopt.graver import graver_basis
-from gravopt.intlinalg import IntMat, mat_vec
+from gravopt.intlinalg import IntMat, mat_vec, solve_integer
 from gravopt.nfold import (NFoldRhs, NFoldStencil, brick_type,
                            graver_complexity, nfold_graver, nfold_matrix,
                            nproduct, split_layers)
@@ -82,16 +82,29 @@ def test_graver_complexity_examples():
     assert graver_complexity(st) == 1
 
 
-def test_basis_caches_are_bounded():
-    for cached in (nfold._cached_graver, graver_complexity):
-        assert cached.cache_info().maxsize is not None
-    # a repeat of a lifted solve is served from the caches
-    nfold_graver(TRANSPORT_2x2, 8)
-    before = nfold._cached_graver.cache_info()
-    nfold_graver(TRANSPORT_2x2, 8)
-    after = nfold._cached_graver.cache_info()
-    assert after.misses == before.misses and after.hits > before.hits
-    assert after.currsize <= after.maxsize
+def test_basis_caches_are_bounded(fresh_caches):
+    for cached in fresh_caches:
+        assert cached.cache_info().maxsize == nfold._CACHE_SIZE
+    # a repeat of a lifted solve is served from the caches: it completes,
+    # lifts and echelons nothing, and returns the one basis
+    basis = nfold_graver(TRANSPORT_2x2, 8)
+    before = [c.cache_info() for c in fresh_caches]
+    assert nfold_graver(TRANSPORT_2x2, 8) is basis
+    after = [c.cache_info() for c in fresh_caches]
+    assert [a.misses for a in after] == [b.misses for b in before]
+    lifts = nfold._lift_basis.cache_info()
+    assert lifts.hits == 1 and lifts.misses == 1
+    # past _CACHE_SIZE distinct lifts and echelon forms, the oldest go
+    st = STABILIZATION_STENCILS[0]
+    g = graver_complexity(st)
+    for n in range(g, g + nfold._CACHE_SIZE + 2):
+        lifted_basis(st, n)
+        solve_integer(nfold_matrix(st, n), (0,) * (n + 1))
+    for cached in fresh_caches:
+        info = cached.cache_info()
+        assert info.currsize <= info.maxsize
+    for cached in (nfold._lift_basis, intlinalg._echelon):
+        assert cached.cache_info().currsize == nfold._CACHE_SIZE
 
 
 def test_lifting_matches_direct_completion():
@@ -134,7 +147,7 @@ def _first_nonzero_positive(v):
     return next(a for a in v if a) > 0
 
 
-def test_lift_matches_the_dense_oracle():
+def test_lift_matches_the_dense_oracle(fresh_caches):
     collapsed = 0
     for st in (*STABILIZATION_STENCILS, SPARSE_LEVEL_3):
         g = graver_complexity(st)

@@ -9,7 +9,7 @@ import pytest
 from conftest import (cross3, dense_column_echelon, densify_echelon,
                       hull_extreme_points, primitive_direction,
                       reference_zonotope_vertices, seeded_transport)
-from gravopt import zonotope
+from gravopt import intlinalg, zonotope
 from gravopt.apps import PartitionInstance, build_partition
 from gravopt.config import RunConfig
 from gravopt.convexopt import project_directions
@@ -158,10 +158,14 @@ def test_independent_subset_echelons_match_the_dense_oracle(monkeypatch):
             a, b = rng.randint(-2, 2), rng.randint(-2, 2)
             rows[-1] = tuple(a * u + b * v for u, v in zip(rows[0], rows[1]))
         matrices.append(rows)
+    # per-instance matrices stay out of the cache of echelon forms
+    cached = intlinalg._echelon.cache_info()
     for rows in matrices:
         assert zonotope._independent_subset(rows) == [
             r for r, _ in dense_column_echelon(
                 IntMat(len(rows), len(rows[0]), tuple(rows)))[2]]
+    assert zonotope_vertices(matrices[0])
+    assert intlinalg._echelon.cache_info() == cached
     assert len(seen) > 1000 and all(A.rows > A.cols for A, _ in seen)
     for A, out in seen:
         assert densify_echelon(A, out) == dense_column_echelon(A)
